@@ -54,8 +54,7 @@ pub fn try_build_from_csr(comm: &Comm, csr: &Csr, block: Block1D) -> MpsResult<A
             }
         }
     }
-    let recvd = comm.alltoallv(&sends)?;
-    drop(sends);
+    let recvd = comm.alltoallv(sends)?;
     let mut store = AdjStore::from_csr_block(csr, lo, hi);
     for msg in &recvd {
         let mut at = 0;

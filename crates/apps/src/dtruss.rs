@@ -173,8 +173,8 @@ pub fn try_truss_decomposition_dist(el: &EdgeList, p: usize) -> MpsResult<Dtruss
                         }
                     }
                 }
-                for msg in comm.alltoallv(&sends)? {
-                    for [u, v] in msg {
+                for msg in comm.alltoallv(sends)? {
+                    for &[u, v] in msg.iter() {
                         dead_edges.insert((u, v));
                     }
                 }

@@ -104,8 +104,7 @@ pub fn try_count_aop1d_observed(
                 }
             }
         }
-        let recvd = comm.alltoallv(&sends)?;
-        drop(sends);
+        let recvd = comm.alltoallv(sends)?;
         let mut ghosts: HashMap<u32, Vec<u32>> = HashMap::new();
         for msg in &recvd {
             let mut at = 0;

@@ -110,8 +110,7 @@ pub fn try_count_psp1d_observed(
                     }
                 }
             }
-            let recvd = comm.alltoallv(&sends)?;
-            drop(sends);
+            let recvd = comm.alltoallv(sends)?;
             peak_entries = peak_entries.max(recvd.iter().map(|m| m.len()).sum::<usize>());
 
             // Index the received rows for this superblock.

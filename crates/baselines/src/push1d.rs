@@ -78,8 +78,7 @@ pub fn try_count_push1d_observed(
                 }
             }
         }
-        let recvd = comm.alltoallv(&sends)?;
-        drop(sends);
+        let recvd = comm.alltoallv(sends)?;
         comm.barrier()?;
         drop(setup_span);
         let setup = t0.elapsed();

@@ -113,8 +113,8 @@ pub fn try_count_wedge_observed(
             if comm.allreduce_sum_u64(removed)? == 0 {
                 break;
             }
-            for msg in comm.alltoallv(&sends)? {
-                for w in msg {
+            for msg in comm.alltoallv(sends)? {
+                for &w in msg.iter() {
                     let li = w as usize - lo;
                     if alive[li] {
                         deg[li] = deg[li].saturating_sub(1);
@@ -146,11 +146,10 @@ pub fn try_count_wedge_observed(
                 }
             }
         }
-        let key_msgs = comm.alltoallv(&key_sends)?;
-        drop(key_sends);
+        let key_msgs = comm.alltoallv(key_sends)?;
         let mut nbr_key: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
         for msg in &key_msgs {
-            for &[v, d] in msg {
+            for &[v, d] in msg.iter() {
                 nbr_key.insert(v, d);
             }
         }
@@ -190,11 +189,10 @@ pub fn try_count_wedge_observed(
                 }
             }
         }
-        let queries = comm.alltoallv(&wedge_sends)?;
-        drop(wedge_sends);
+        let queries = comm.alltoallv(wedge_sends)?;
         let mut local_triangles = 0u64;
         for msg in &queries {
-            for &[a, b] in msg {
+            for &[a, b] in msg.iter() {
                 if directed[a as usize - lo].binary_search(&b).is_ok() {
                     local_triangles += 1;
                 }

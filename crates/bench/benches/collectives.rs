@@ -41,7 +41,7 @@ fn bench_alltoallv(c: &mut Criterion) {
             b.iter(|| {
                 Universe::run(p, |comm| {
                     let sends: Vec<Vec<u32>> = (0..p).map(|d| vec![d as u32; per_dest]).collect();
-                    let r = comm.alltoallv(black_box(&sends)).unwrap();
+                    let r = comm.alltoallv(black_box(sends)).unwrap();
                     r.iter().map(|v| v.len()).sum::<usize>()
                 })
             });

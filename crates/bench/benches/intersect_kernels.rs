@@ -18,13 +18,13 @@ use tc_graph::EdgeList;
 /// harness shape).
 fn blocks_of(el: &EdgeList) -> (SparseBlock, SparseBlock, SparseBlock) {
     let n = el.num_vertices.max(1);
-    let mut u_pairs = el.edges.clone();
-    let mut p_pairs = el.edges.clone();
-    let mut t_pairs: Vec<(u32, u32)> = el.edges.iter().map(|&(u, v)| (v, u)).collect();
+    let u_pairs = el.edges.clone();
+    let p_pairs = el.edges.clone();
+    let t_pairs: Vec<(u32, u32)> = el.edges.iter().map(|&(u, v)| (v, u)).collect();
     (
-        SparseBlock::from_pairs(n, 1, &mut t_pairs),
-        SparseBlock::from_pairs(n, 1, &mut u_pairs),
-        SparseBlock::from_pairs(n, 1, &mut p_pairs),
+        SparseBlock::from_pairs(n, 1, t_pairs),
+        SparseBlock::from_pairs(n, 1, u_pairs),
+        SparseBlock::from_pairs(n, 1, p_pairs),
     )
 }
 

@@ -20,7 +20,7 @@ fn sample_block(rows: usize) -> SparseBlock {
             pairs.push((r, r.wrapping_mul(2654435761).wrapping_add(j * 97) % (4 * rows as u32)));
         }
     }
-    SparseBlock::from_pairs(rows, 1, &mut pairs)
+    SparseBlock::from_pairs(rows, 1, pairs)
 }
 
 /// Touches every row so the staging cost isn't optimized away and both

@@ -59,34 +59,79 @@ pub struct SparseBlock {
 }
 
 impl SparseBlock {
-    /// Builds a block from `(row_global, col_global)` pairs.
+    /// Builds a block from `(row_global, col_global)` pairs, consuming
+    /// them (the pair buffer is freed before the block is returned).
     ///
     /// `q` is the grid side, `num_rows` the row count of the block's
     /// vertex class (`Cyclic2D::class_count`). Rows are addressed by
     /// `row_global ÷ q`; pairs may arrive in any order.
-    pub fn from_pairs(num_rows: usize, q: usize, pairs: &mut Vec<(u32, u32)>) -> Self {
+    pub fn from_pairs(num_rows: usize, q: usize, pairs: Vec<(u32, u32)>) -> Self {
+        Self::from_entries(num_rows, q, pairs.iter().copied())
+    }
+
+    /// Builds a block from `(row_global, col_global)` entries read in
+    /// place, e.g. straight out of received message views. `entries`
+    /// is walked twice (count, then place), so it must be cheap to
+    /// clone; the only allocations are the block's own arrays.
+    pub fn from_entries<I>(num_rows: usize, q: usize, entries: I) -> Self
+    where
+        I: Iterator<Item = (u32, u32)> + Clone,
+    {
         // Counting-sort by local row, then sort columns within rows.
-        let mut counts = vec![0u32; num_rows + 1];
-        for &(r, _) in pairs.iter() {
+        let mut xadj = vec![0u32; num_rows + 1];
+        for (r, _) in entries.clone() {
             let lr = r as usize / q;
             debug_assert!(lr < num_rows, "row {r} out of class range");
-            counts[lr + 1] += 1;
+            xadj[lr + 1] += 1;
         }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
+        for i in 1..xadj.len() {
+            xadj[i] += xadj[i - 1];
         }
-        let xadj = counts.clone();
-        let mut cols = vec![0u32; pairs.len()];
-        let mut cursor = counts;
-        for &(r, c) in pairs.iter() {
+        let mut cols = vec![0u32; xadj[num_rows] as usize];
+        let mut cursor = xadj[..num_rows].to_vec();
+        for (r, c) in entries {
             let lr = r as usize / q;
             cols[cursor[lr] as usize] = c;
             cursor[lr] += 1;
         }
+        drop(cursor);
         for lr in 0..num_rows {
             cols[xadj[lr] as usize..xadj[lr + 1] as usize].sort_unstable();
         }
-        pairs.clear(); // signal consumption; callers reuse the buffer
+        Self::from_parts(xadj, cols)
+    }
+
+    /// The transpose of this block: entry `(r, c)` becomes `(c, r)`.
+    ///
+    /// This block's rows must be the vertex class `class` (global row
+    /// id `lr * q + class`); `num_rows` is the row count of the class
+    /// its columns belong to. Source rows are walked in ascending
+    /// order, so each transposed row comes out sorted with no sort
+    /// pass.
+    pub fn transpose(&self, num_rows: usize, q: usize, class: usize) -> Self {
+        let mut xadj = vec![0u32; num_rows + 1];
+        for &c in &self.cols {
+            xadj[c as usize / q + 1] += 1;
+        }
+        for i in 1..xadj.len() {
+            xadj[i] += xadj[i - 1];
+        }
+        let mut cols = vec![0u32; self.cols.len()];
+        let mut cursor = xadj[..num_rows].to_vec();
+        for &lr in &self.nonempty {
+            let r = lr * q as u32 + class as u32;
+            for &c in self.row(lr as usize) {
+                let t = c as usize / q;
+                cols[cursor[t] as usize] = r;
+                cursor[t] += 1;
+            }
+        }
+        Self::from_parts(xadj, cols)
+    }
+
+    /// Finishes a block from its row pointers and row-sorted columns.
+    fn from_parts(xadj: Vec<u32>, cols: Vec<u32>) -> Self {
+        let num_rows = xadj.len() - 1;
         let nonempty = (0..num_rows).filter(|&r| xadj[r + 1] > xadj[r]).map(|r| r as u32).collect();
         Self { xadj, cols, nonempty }
     }
@@ -256,9 +301,8 @@ mod tests {
     #[test]
     fn builds_strided_rows() {
         // q = 3, class 1 (rows 1, 4, 7, ...), num_rows = 3.
-        let mut pairs = vec![(4, 9), (1, 5), (4, 3), (7, 2), (1, 0)];
-        let b = SparseBlock::from_pairs(3, 3, &mut pairs);
-        assert!(pairs.is_empty());
+        let pairs = vec![(4, 9), (1, 5), (4, 3), (7, 2), (1, 0)];
+        let b = SparseBlock::from_pairs(3, 3, pairs);
         assert_eq!(b.num_rows(), 3);
         assert_eq!(b.row(0), &[0, 5]); // global row 1
         assert_eq!(b.row(1), &[3, 9]); // global row 4
@@ -270,8 +314,8 @@ mod tests {
     #[test]
     fn nonempty_index_skips_holes() {
         // Rows 0 and 2 of 4 are empty.
-        let mut pairs = vec![(2, 1), (6, 4)]; // q=2, class 0: rows 0,2,4,6
-        let b = SparseBlock::from_pairs(4, 2, &mut pairs);
+        let pairs = vec![(2, 1), (6, 4)]; // q=2, class 0: rows 0,2,4,6
+        let b = SparseBlock::from_pairs(4, 2, pairs);
         assert_eq!(b.nonempty_rows(), &[1, 3]);
         assert_eq!(b.row(0), &[] as &[u32]);
         assert_eq!(b.row(1), &[1]);
@@ -289,8 +333,8 @@ mod tests {
 
     #[test]
     fn blob_roundtrip() {
-        let mut pairs = vec![(0, 7), (3, 1), (3, 2), (9, 9)];
-        let b = SparseBlock::from_pairs(4, 3, &mut pairs);
+        let pairs = vec![(0, 7), (3, 1), (3, 2), (9, 9)];
+        let b = SparseBlock::from_pairs(4, 3, pairs);
         let back = SparseBlock::from_blob(b.to_blob());
         assert_eq!(back, b);
     }
@@ -303,8 +347,8 @@ mod tests {
 
     #[test]
     fn borrowed_view_agrees_with_owned_block() {
-        let mut pairs = vec![(0u32, 7u32), (3, 1), (3, 2), (9, 9), (9, 3)];
-        let b = SparseBlock::from_pairs(4, 3, &mut pairs);
+        let pairs = vec![(0u32, 7u32), (3, 1), (3, 2), (9, 9), (9, 3)];
+        let b = SparseBlock::from_pairs(4, 3, pairs);
         let blob = b.to_blob();
         let v = SparseBlockRef::from_blob(&blob);
         assert_eq!(BlockView::num_rows(&v), b.num_rows());
@@ -334,8 +378,30 @@ mod tests {
     fn duplicate_columns_are_kept_sorted() {
         // The pipeline never produces duplicates, but the container
         // itself must not lose or reorder them.
-        let mut pairs = vec![(0, 5), (0, 5), (0, 1)];
-        let b = SparseBlock::from_pairs(1, 1, &mut pairs);
+        let pairs = vec![(0, 5), (0, 5), (0, 1)];
+        let b = SparseBlock::from_pairs(1, 1, pairs);
         assert_eq!(b.row(0), &[1, 5, 5]);
+    }
+
+    #[test]
+    fn from_entries_matches_from_pairs() {
+        let pairs = vec![(4u32, 9u32), (1, 5), (4, 3), (7, 2), (1, 0)];
+        let msgs = [vec![[4u32, 9u32], [1, 5]], vec![], vec![[4, 3], [7, 2], [1, 0]]];
+        let entries = msgs.iter().flatten().map(|&[r, c]| (r, c));
+        assert_eq!(SparseBlock::from_entries(3, 3, entries), SparseBlock::from_pairs(3, 3, pairs));
+    }
+
+    #[test]
+    fn transpose_swaps_rows_and_columns() {
+        // q = 3: rows of class 1 (global 1, 4, 7), columns of class 2
+        // (global 2, 5, 8, 11).
+        let pairs = vec![(1u32, 5u32), (1, 2), (4, 11), (7, 5), (7, 8)];
+        let b = SparseBlock::from_pairs(3, 3, pairs.clone());
+        let t = b.transpose(4, 3, 1);
+        let swapped = pairs.iter().map(|&(r, c)| (c, r)).collect();
+        assert_eq!(t, SparseBlock::from_pairs(4, 3, swapped));
+        assert_eq!(t.row(1), &[1, 7]); // global row 5
+        assert_eq!(t.transpose(3, 3, 2), b);
+        assert_eq!(SparseBlock::empty(3).transpose(5, 3, 0), SparseBlock::empty(5));
     }
 }

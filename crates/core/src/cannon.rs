@@ -348,8 +348,8 @@ fn resolve_per_edge(
             credit_sends[(ka as usize % q) * q + kb as usize % q].push([ka, kb]);
         }
     }
-    for msg in comm.alltoallv(&credit_sends)? {
-        for [ka, kb] in msg {
+    for msg in comm.alltoallv(credit_sends)? {
+        for &[ka, kb] in msg.iter() {
             let idx =
                 prep.task.find_entry(ka as usize / q, kb).ok_or_else(|| MpsError::Protocol {
                     rank: comm.rank(),
@@ -382,9 +382,9 @@ mod tests {
             // row A(0) = {3}), so the per-edge pass credits edges
             // (0,3) and (2,3) — whose task entries (3,0) and (3,2) do
             // not exist in this deliberately incomplete task block.
-            let task = SparseBlock::from_pairs(4, 1, &mut vec![(2u32, 0u32)]);
-            let ublock = SparseBlock::from_pairs(4, 1, &mut vec![(2u32, 3u32)]);
-            let lblock = SparseBlock::from_pairs(4, 1, &mut vec![(0u32, 3u32)]);
+            let task = SparseBlock::from_pairs(4, 1, vec![(2u32, 0u32)]);
+            let ublock = SparseBlock::from_pairs(4, 1, vec![(2u32, 3u32)]);
+            let lblock = SparseBlock::from_pairs(4, 1, vec![(0u32, 3u32)]);
             let prep = crate::preprocess::PrepOutput {
                 q: 1,
                 x: 0,

@@ -302,13 +302,13 @@ mod tests {
         // A(0) = {1, 2}, A(1) = {2}, A(2) = {3}.
         let a_entries = vec![(0u32, 1u32), (0, 2), (1, 2), (2, 3)];
         let n = 4;
-        let mut u_pairs = a_entries.clone();
-        let ublock = SparseBlock::from_pairs(n, 1, &mut u_pairs);
-        let mut l_pairs = a_entries.clone();
-        let lblock = SparseBlock::from_pairs(n, 1, &mut l_pairs);
+        let u_pairs = a_entries.clone();
+        let ublock = SparseBlock::from_pairs(n, 1, u_pairs);
+        let l_pairs = a_entries.clone();
+        let lblock = SparseBlock::from_pairs(n, 1, l_pairs);
         // ⟨j,i,k⟩ tasks: one per edge, (a, b) = (larger, smaller).
-        let mut t_pairs = vec![(1u32, 0u32), (2, 0), (2, 1), (3, 2)];
-        let task = SparseBlock::from_pairs(n, 1, &mut t_pairs);
+        let t_pairs = vec![(1u32, 0u32), (2, 0), (2, 1), (3, 2)];
+        let task = SparseBlock::from_pairs(n, 1, t_pairs);
         (task, ublock, lblock)
     }
 
@@ -365,11 +365,11 @@ mod tests {
         // looked up (and misses). Empty hash rows are served by the
         // hash plan under every strategy, so the pinned counts hold
         // across all of them.
-        let mut t_pairs = vec![(0u32, 1u32)];
-        let task = SparseBlock::from_pairs(2, 1, &mut t_pairs);
+        let t_pairs = vec![(0u32, 1u32)];
+        let task = SparseBlock::from_pairs(2, 1, t_pairs);
         let ub = SparseBlock::empty(2);
-        let mut l_pairs = vec![(1u32, 5u32), (1, 6)];
-        let lb = SparseBlock::from_pairs(2, 1, &mut l_pairs);
+        let l_pairs = vec![(1u32, 5u32), (1, 6)];
+        let lb = SparseBlock::from_pairs(2, 1, l_pairs);
 
         for strategy in all_strategies() {
             let mut ks = KernelState::new(4, 1);
@@ -427,11 +427,11 @@ mod tests {
         let n = 40u32;
         let mut u_pairs: Vec<(u32, u32)> = (1..n).map(|v| (0, v)).collect();
         u_pairs.extend((1..n - 1).map(|v| (v, v + 1)));
-        let mut l_pairs = u_pairs.clone();
-        let mut t_pairs: Vec<(u32, u32)> = u_pairs.iter().map(|&(u, v)| (v, u)).collect();
-        let ub = SparseBlock::from_pairs(n as usize, 1, &mut u_pairs);
-        let lb = SparseBlock::from_pairs(n as usize, 1, &mut l_pairs);
-        let task = SparseBlock::from_pairs(n as usize, 1, &mut t_pairs);
+        let l_pairs = u_pairs.clone();
+        let t_pairs: Vec<(u32, u32)> = u_pairs.iter().map(|&(u, v)| (v, u)).collect();
+        let ub = SparseBlock::from_pairs(n as usize, 1, u_pairs);
+        let lb = SparseBlock::from_pairs(n as usize, 1, l_pairs);
+        let task = SparseBlock::from_pairs(n as usize, 1, t_pairs);
 
         let run = |strategy: KernelStrategy| {
             let cfg = TcConfig::default().with_kernel(strategy);

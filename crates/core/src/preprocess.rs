@@ -15,8 +15,9 @@
 //! 3. **U/L split**: with degree = label order, the split is a local
 //!    label comparison per adjacency entry.
 //! 4. **2D cyclic redistribution**: each upper entry `(v, k)` is sent
-//!    to the owners of its `U` block, its `L` block, and its task
-//!    block on the `√p × √p` grid.
+//!    to the owners of its `U` block and its `L` block on the
+//!    `√p × √p` grid. The task block lives in one of those two cells
+//!    and is built locally from the block received there.
 //!
 //! The initial Cannon *skew* is deliberately **not** done here — the
 //! paper counts it in the triangle-counting phase (§5.1 "the initial
@@ -25,7 +26,7 @@
 use std::collections::HashMap;
 
 use tc_graph::{Block1D, Csr, Cyclic1D, Cyclic2D};
-use tc_mps::{Comm, MpsResult};
+use tc_mps::{Comm, MpsResult, PodArray};
 
 use crate::blocks::SparseBlock;
 use crate::config::{Enumeration, TcConfig};
@@ -105,6 +106,48 @@ impl BlockInput<'_> {
     }
 }
 
+/// Cyclic-local adjacency read in place from the step-1 messages:
+/// local vertex `i` has its `[v, deg, row...]` record at word offset
+/// `at[i].1` of message `at[i].0`.
+struct ReceivedRows {
+    msgs: Vec<PodArray<u32>>,
+    at: Vec<(u32, u32)>,
+}
+
+impl ReceivedRows {
+    /// Neighbours of local vertex `i`.
+    fn row(&self, i: usize) -> &[u32] {
+        let (src, off) = self.at[i];
+        let (msg, off) = (&self.msgs[src as usize], off as usize);
+        &msg[off + 2..off + 2 + msg[off + 1] as usize]
+    }
+
+    /// All local rows, in local-index order.
+    fn rows(&self) -> impl Iterator<Item = &[u32]> {
+        (0..self.at.len()).map(|i| self.row(i))
+    }
+}
+
+/// Calls `emit(i, dst)` once per local vertex `i` and rank `dst` that
+/// owns one of its neighbours: the destinations of `i`'s label push.
+fn for_each_label_dest(adj: &ReceivedRows, cyc: &Cyclic1D, mut emit: impl FnMut(usize, usize)) {
+    let mut dest_stamp = vec![u32::MAX; cyc.p];
+    for (i, a) in adj.rows().enumerate() {
+        for &w in a {
+            let dst = cyc.owner(w);
+            if dest_stamp[dst] != i as u32 {
+                dest_stamp[dst] = i as u32;
+                emit(i, dst);
+            }
+        }
+    }
+}
+
+/// Bytes held by a set of send buffers (their capacity, not length).
+pub(crate) fn staged_bytes<T>(sends: &[Vec<T>]) -> u64 {
+    sends.iter().map(|s| (s.capacity() * std::mem::size_of::<T>()) as u64).sum()
+}
+
 /// Steps 1–3 of §5.3 — initial cyclic redistribution, distributed
 /// counting-sort relabeling, and the label push — shared by the Cannon
 /// (square-grid) and SUMMA (rectangular-grid) back halves.
@@ -128,45 +171,49 @@ pub fn relabel_phase_from(
     // Wire format per destination: repeated [v, deg, neighbors...].
     let redist_span = tc_trace::span(tc_trace::names::PREP_REDIST, tc_trace::Category::Phase);
     let (lo, hi) = block.range(rank);
-    let mut sends: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
+    let mut words = vec![0usize; p];
+    for v in lo..hi {
+        words[cyc.owner(v as u32)] += 2 + input.neighbors(v as u32).len();
+    }
+    let mut sends: Vec<Vec<u32>> = words.iter().map(|&w| Vec::with_capacity(w)).collect();
     for v in lo..hi {
         let row = input.neighbors(v as u32);
-        let dst = cyc.owner(v as u32);
-        let buf = &mut sends[dst];
+        let buf = &mut sends[cyc.owner(v as u32)];
         buf.push(v as u32);
         buf.push(row.len() as u32);
         buf.extend_from_slice(row);
         ops += row.len() as u64 + 1;
     }
-    let staged: usize = sends.iter().map(|v| v.len() * 4).sum();
-    let prep_mem = tc_metrics::MemScope::track(tc_metrics::names::MEM_PREP_STAGING, staged as u64);
-    let received = comm.alltoallv(&sends)?;
-    drop(sends);
+    let staged = staged_bytes(&sends);
+    let prep_mem = tc_metrics::MemScope::track(tc_metrics::names::MEM_PREP_STAGING, staged);
+    let received = comm.alltoallv(sends)?;
     drop(prep_mem);
 
-    // Decode into cyclic-local adjacency, indexed by v ÷ p.
+    // Index the cyclic-local rows (by v ÷ p) where they arrived.
     let local_cnt = cyc.count(rank);
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); local_cnt];
-    for msg in &received {
+    let mut at = vec![(0u32, 0u32); local_cnt];
+    let mut adj_entries = 0u64;
+    for (src, msg) in received.iter().enumerate() {
         let mut i = 0usize;
         while i < msg.len() {
             let v = msg[i];
             let deg = msg[i + 1] as usize;
             debug_assert_eq!(cyc.owner(v), rank);
-            adj[cyc.local(v)] = msg[i + 2..i + 2 + deg].to_vec();
-            ops += deg as u64;
+            at[cyc.local(v)] = (src as u32, i as u32);
+            adj_entries += deg as u64;
             i += 2 + deg;
         }
     }
-    drop(received);
+    ops += adj_entries;
+    let adj = ReceivedRows { msgs: received, at };
     drop(redist_span);
 
     // -- Step 2: distributed counting sort ------------------------------
     let sort_span = tc_trace::span(tc_trace::names::PREP_SORT, tc_trace::Category::Phase);
-    let local_dmax = adj.iter().map(|a| a.len() as u64).max().unwrap_or(0);
+    let local_dmax = adj.rows().map(|a| a.len() as u64).max().unwrap_or(0);
     let dmax = comm.allreduce_max_u64(local_dmax)? as usize;
     let mut hist = vec![0u64; dmax + 1];
-    for a in &adj {
+    for a in adj.rows() {
         hist[a.len()] += 1;
     }
     ops += local_cnt as u64;
@@ -181,7 +228,7 @@ pub fn relabel_phase_from(
     ops += dmax as u64;
     let mut seen = vec![0u64; dmax + 1];
     let mut new_label = vec![0u32; local_cnt];
-    for (i, a) in adj.iter().enumerate() {
+    for (i, a) in adj.rows().enumerate() {
         let d = a.len();
         new_label[i] = (start[d] + before_me[d] + seen[d]) as u32;
         seen[d] += 1;
@@ -194,51 +241,88 @@ pub fn relabel_phase_from(
     // Owner of u knows Adj(u); by symmetry each rank holding u in one
     // of its lists owns some w ∈ Adj(u), so pushing (u_old, u_new) to
     // the owners of u's neighbours covers exactly the demand set.
-    let mut label_sends: Vec<Vec<[u32; 2]>> = (0..p).map(|_| Vec::new()).collect();
-    let mut dest_stamp = vec![u32::MAX; p];
-    for (i, a) in adj.iter().enumerate() {
-        let u_old = cyc.global(rank, i);
-        let pair = [u_old, new_label[i]];
-        for &w in a {
-            let dst = cyc.owner(w);
-            if dest_stamp[dst] != i as u32 {
-                dest_stamp[dst] = i as u32;
-                label_sends[dst].push(pair);
-            }
-            ops += 1;
-        }
-    }
-    let label_msgs = comm.alltoallv(&label_sends)?;
-    drop(label_sends);
+    let mut counts = vec![0usize; p];
+    for_each_label_dest(&adj, &cyc, |_, dst| counts[dst] += 1);
+    let mut label_sends: Vec<Vec<[u32; 2]>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for_each_label_dest(&adj, &cyc, |i, dst| {
+        label_sends[dst].push([cyc.global(rank, i), new_label[i]]);
+    });
+    ops += adj_entries;
+    let label_msgs = comm.alltoallv(label_sends)?;
     let mut old_to_new: HashMap<u32, u32> =
         HashMap::with_capacity(label_msgs.iter().map(|m| m.len()).sum());
     for msg in &label_msgs {
-        for &[o, nl] in msg {
+        for &[o, nl] in msg.iter() {
             old_to_new.insert(o, nl);
         }
     }
     drop(label_msgs);
 
     // -- Step 3b: U/L split in new labels -------------------------------
-    // Emit each upper entry (v, k), v < k, exactly once grid-wide (the
-    // owner of the smaller-label endpoint emits).
-    let mut entries = Vec::new();
+    // Translate every neighbour once into one exactly sized array, then
+    // free the received rows and the label map. Each upper entry
+    // (v, k), v < k, is emitted exactly once grid-wide (the owner of the
+    // smaller-label endpoint emits); a counting pass sizes `entries`.
+    let degs: Vec<u32> = adj.rows().map(|a| a.len() as u32).collect();
+    let mut nbr_new = Vec::with_capacity(adj_entries as usize);
+    for a in adj.rows() {
+        nbr_new.extend(a.iter().map(|w| {
+            *old_to_new
+                .get(w)
+                .unwrap_or_else(|| panic!("rank {rank}: no relabel entry for neighbour {w}"))
+        }));
+    }
+    ops += adj_entries;
+    drop((adj, old_to_new));
+    let upper_rows = || {
+        degs.iter().enumerate().scan(0usize, |at, (i, &d)| {
+            let row = &nbr_new[*at..*at + d as usize];
+            *at += d as usize;
+            let nv = new_label[i];
+            Some(row.iter().filter(move |&&nk| nv < nk).map(move |&nk| (nv, nk)))
+        })
+    };
+    let mut entries = Vec::with_capacity(upper_rows().map(Iterator::count).sum());
+    upper_rows().for_each(|row| entries.extend(row));
     let label_pairs: Vec<(u32, u32)> =
         (0..local_cnt).map(|i| (cyc.global(rank, i), new_label[i])).collect();
-    for (i, a) in adj.iter().enumerate() {
-        let nv = new_label[i];
-        for &w in a {
-            let nk = *old_to_new
-                .get(&w)
-                .unwrap_or_else(|| panic!("rank {rank}: no relabel entry for neighbour {w}"));
-            ops += 1;
-            if nv < nk {
-                entries.push((nv, nk));
-            }
-        }
-    }
     drop(label_span);
     Ok(RelabeledEntries { entries, label_pairs, ops })
+}
+
+/// Buckets upper entries `(v, k)` into one send buffer per rank,
+/// `dest(v, k)` naming the rank. A counting pass first allocates every
+/// buffer once at its final size.
+pub(crate) fn route_entries(
+    p: usize,
+    entries: &[(u32, u32)],
+    dest: impl Fn(u32, u32) -> usize,
+) -> Vec<Vec<[u32; 2]>> {
+    let mut counts = vec![0usize; p];
+    for &(v, k) in entries {
+        counts[dest(v, k)] += 1;
+    }
+    let mut sends: Vec<Vec<[u32; 2]>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for &(v, k) in entries {
+        sends[dest(v, k)].push([v, k]);
+    }
+    sends
+}
+
+/// Exchanges routed `[row, col]` entries and builds this rank's block
+/// straight from the received message views.
+fn exchange_block(
+    comm: &Comm,
+    sends: Vec<Vec<[u32; 2]>>,
+    num_rows: usize,
+    q: usize,
+) -> MpsResult<SparseBlock> {
+    let staged = staged_bytes(&sends);
+    let prep_mem = tc_metrics::MemScope::track(tc_metrics::names::MEM_PREP_STAGING, staged);
+    let recv = comm.alltoallv(sends)?;
+    drop(prep_mem);
+    let entries = recv.iter().flat_map(|m| m.iter()).map(|&[r, c]| (r, c));
+    Ok(SparseBlock::from_entries(num_rows, q, entries))
 }
 
 /// Runs the full Cannon-grid preprocessing pipeline on this rank.
@@ -260,65 +344,44 @@ pub fn preprocess_from(
     let p = comm.size();
     let q = tc_mps::perfect_square_side(p).expect("rank count must be a perfect square");
     let grid2d = Cyclic2D::new(q);
-    let mut relabeled = relabel_phase_from(comm, n, input)?;
+    let relabeled = relabel_phase_from(comm, n, input)?;
     let mut ops = relabeled.ops;
-    let label_pairs = std::mem::take(&mut relabeled.label_pairs);
+    let label_pairs = relabeled.label_pairs;
 
     let twod_span = tc_trace::span(tc_trace::names::PREP_2D, tc_trace::Category::Phase);
     // -- Step 4: 2D cyclic redistribution -------------------------------
-    // Ship each upper entry (v, k) to the three grid cells that need it:
+    // Each upper entry (v, k) is needed in three grid cells:
     //   U block U(v%q, k%q)        at P(v%q, k%q)
     //   L block L(k%q, v%q)        at P(k%q, v%q)  (stored by column v)
     //   task (a, b)                at P(a%q, b%q)
-    // where (a, b) = (k, v) under ⟨j,i,k⟩ and (v, k) under ⟨i,j,k⟩.
-    let mut u_sends: Vec<Vec<[u32; 2]>> = (0..p).map(|_| Vec::new()).collect();
-    let mut l_sends: Vec<Vec<[u32; 2]>> = (0..p).map(|_| Vec::new()).collect();
-    let mut t_sends: Vec<Vec<[u32; 2]>> = (0..p).map(|_| Vec::new()).collect();
-    for &(nv, nk) in &relabeled.entries {
-        ops += 1;
-        let (vx, vy) = (nv as usize % q, nk as usize % q);
-        u_sends[grid2d.q * vx + vy].push([nv, nk]);
-        l_sends[grid2d.q * vy + vx].push([nv, nk]);
-        let (a_vert, b_vert) = match cfg.enumeration {
-            Enumeration::Jik => (nk, nv),
-            Enumeration::Ijk => (nv, nk),
-        };
-        let (tx, ty) = (a_vert as usize % q, b_vert as usize % q);
-        t_sends[grid2d.q * tx + ty].push([a_vert, b_vert]);
-    }
-    drop(relabeled);
-
-    let staged: usize =
-        [&u_sends, &l_sends, &t_sends].iter().flat_map(|s| s.iter()).map(|v| v.len() * 8).sum();
-    let prep_mem = tc_metrics::MemScope::track(tc_metrics::names::MEM_PREP_STAGING, staged as u64);
-    let u_recv = comm.alltoallv(&u_sends)?;
-    drop(u_sends);
-    let l_recv = comm.alltoallv(&l_sends)?;
-    drop(l_sends);
-    let t_recv = comm.alltoallv(&t_sends)?;
-    drop(t_sends);
-    drop(prep_mem);
-
+    // where (a, b) = (k, v) under ⟨j,i,k⟩ and (v, k) under ⟨i,j,k⟩. The
+    // task cell is therefore L's cell (⟨j,i,k⟩: the task block is L
+    // transposed) or U's cell (⟨i,j,k⟩: the task block is U itself), so
+    // only U and L travel and the task block is built locally. U is
+    // exchanged and built before L is routed, so at most one set of
+    // send buffers is alive at a time.
     let x = comm.rank() / q;
     let y = comm.rank() % q;
-    let flatten = |msgs: Vec<Vec<[u32; 2]>>| -> Vec<(u32, u32)> {
-        msgs.into_iter().flatten().map(|[a, b]| (a, b)).collect()
-    };
+    let entries = relabeled.entries;
+    ops += entries.len() as u64;
 
     // U(x, y): rows are class x.
-    let mut u_pairs = flatten(u_recv);
-    ops += u_pairs.len() as u64;
-    let ublock = SparseBlock::from_pairs(grid2d.class_count(n, x), q, &mut u_pairs);
+    let u_sends = route_entries(p, &entries, |v, k| q * (v as usize % q) + k as usize % q);
+    let ublock = exchange_block(comm, u_sends, grid2d.class_count(n, x), q)?;
+    ops += ublock.num_entries() as u64;
 
     // L(x, y) stored by probe vertex: rows are class y.
-    let mut l_pairs = flatten(l_recv);
-    ops += l_pairs.len() as u64;
-    let lblock = SparseBlock::from_pairs(grid2d.class_count(n, y), q, &mut l_pairs);
+    let l_sends = route_entries(p, &entries, |v, k| q * (k as usize % q) + v as usize % q);
+    drop(entries);
+    let lblock = exchange_block(comm, l_sends, grid2d.class_count(n, y), q)?;
+    ops += lblock.num_entries() as u64;
 
     // Task block: rows are the hash-side vertices, class x.
-    let mut t_pairs = flatten(t_recv);
-    ops += t_pairs.len() as u64;
-    let task = SparseBlock::from_pairs(grid2d.class_count(n, x), q, &mut t_pairs);
+    let task = match cfg.enumeration {
+        Enumeration::Jik => lblock.transpose(grid2d.class_count(n, x), q, y),
+        Enumeration::Ijk => ublock.clone(),
+    };
+    ops += task.num_entries() as u64;
 
     let max_hash_row = comm.allreduce_max_u64(ublock.max_row_len() as u64)? as usize;
     drop(twod_span);

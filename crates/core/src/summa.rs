@@ -20,13 +20,13 @@ use std::time::Instant;
 use bytes::Bytes;
 use tc_graph::{Csr, EdgeList};
 use tc_metrics::{names as mnames, MemScope};
-use tc_mps::{Comm, MpsResult, Observe, RecvRequest, SocketConfig, Universe};
+use tc_mps::{Comm, MpsResult, Observe, PodArray, RecvRequest, SocketConfig, Universe};
 
 use crate::blocks::{SparseBlock, SparseBlockRef};
 use crate::config::{Enumeration, TcConfig};
 use crate::intersect::KernelState;
 use crate::metrics::{CommPhase, RankMetrics, TcResult};
-use crate::preprocess::{relabel_phase_from, BlockInput};
+use crate::preprocess::{relabel_phase_from, route_entries, staged_bytes, BlockInput};
 
 /// Rectangular grid geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -297,68 +297,65 @@ pub fn summa_rank_from(
         let mut ops = relabeled.ops;
 
         // Route every upper entry to its task cell, U-panel owner, and
-        // L-panel owner.
-        let mut u_sends: Vec<Vec<[u32; 2]>> = (0..p).map(|_| Vec::new()).collect();
-        let mut l_sends: Vec<Vec<[u32; 2]>> = (0..p).map(|_| Vec::new()).collect();
-        let mut t_sends: Vec<Vec<[u32; 2]>> = (0..p).map(|_| Vec::new()).collect();
-        for &(nv, nk) in &relabeled.entries {
-            ops += 1;
-            let w = grid.panel_of(nk, n);
-            u_sends[grid.rank_of(nv as usize % grid.pr, w % grid.pc)].push([nv, nk]);
-            l_sends[grid.rank_of(w % grid.pr, nv as usize % grid.pc)].push([nv, nk]);
-            let (a_vert, b_vert) = match cfg.enumeration {
-                Enumeration::Jik => (nk, nv),
-                Enumeration::Ijk => (nv, nk),
-            };
-            t_sends[grid.rank_of(a_vert as usize % grid.pr, b_vert as usize % grid.pc)]
-                .push([a_vert, b_vert]);
-        }
-        drop(relabeled);
-        let staged: usize =
-            [&u_sends, &l_sends, &t_sends].iter().flat_map(|s| s.iter()).map(|v| v.len() * 8).sum();
-        let prep_mem = MemScope::track(mnames::MEM_PREP_STAGING, staged as u64);
-        let u_recv = comm.alltoallv(&u_sends)?;
-        drop(u_sends);
-        let l_recv = comm.alltoallv(&l_sends)?;
-        drop(l_sends);
-        let t_recv = comm.alltoallv(&t_sends)?;
-        drop(t_sends);
+        // L-panel owner. A rectangular grid has no cell coincidence to
+        // exploit, so all three sets travel; each is sized exactly.
+        // Task entries travel as (v, k) and are oriented on arrival.
+        let entries = relabeled.entries;
+        ops += entries.len() as u64;
+        let u_sends = route_entries(p, &entries, |v, k| {
+            grid.rank_of(v as usize % grid.pr, grid.panel_of(k, n) % grid.pc)
+        });
+        let l_sends = route_entries(p, &entries, |v, k| {
+            grid.rank_of(grid.panel_of(k, n) % grid.pr, v as usize % grid.pc)
+        });
+        let task_of = |v: u32, k: u32| match cfg.enumeration {
+            Enumeration::Jik => (k, v),
+            Enumeration::Ijk => (v, k),
+        };
+        let t_sends = route_entries(p, &entries, |v, k| {
+            let (a, b) = task_of(v, k);
+            grid.rank_of(a as usize % grid.pr, b as usize % grid.pc)
+        });
+        drop(entries);
+        let staged = staged_bytes(&u_sends) + staged_bytes(&l_sends) + staged_bytes(&t_sends);
+        let prep_mem = MemScope::track(mnames::MEM_PREP_STAGING, staged);
+        let u_recv = comm.alltoallv(u_sends)?;
+        let l_recv = comm.alltoallv(l_sends)?;
+        let t_recv = comm.alltoallv(t_sends)?;
         drop(prep_mem);
 
         // Build this rank's panels, bucketed by panel index.
-        let bucket = |msgs: Vec<Vec<[u32; 2]>>| -> Vec<Vec<(u32, u32)>> {
+        let bucket = |msgs: Vec<PodArray<[u32; 2]>>| -> Vec<Vec<(u32, u32)>> {
             let mut by_panel: Vec<Vec<(u32, u32)>> = vec![Vec::new(); grid.panels];
             for msg in msgs {
-                for [v, k] in msg {
+                for &[v, k] in msg.iter() {
                     by_panel[grid.panel_of(k, n)].push((v, k));
                 }
             }
             by_panel
         };
         let mut u_panels: Vec<Option<SparseBlock>> = vec![None; grid.panels];
-        for (w, mut pairs) in bucket(u_recv).into_iter().enumerate() {
+        for (w, pairs) in bucket(u_recv).into_iter().enumerate() {
             if w % grid.pc == y {
                 ops += pairs.len() as u64;
-                u_panels[w] =
-                    Some(SparseBlock::from_pairs(grid.row_count(n, x), grid.pr, &mut pairs));
+                u_panels[w] = Some(SparseBlock::from_pairs(grid.row_count(n, x), grid.pr, pairs));
             } else {
                 debug_assert!(pairs.is_empty(), "panel routed to wrong owner");
             }
         }
         let mut l_panels: Vec<Option<SparseBlock>> = vec![None; grid.panels];
-        for (w, mut pairs) in bucket(l_recv).into_iter().enumerate() {
+        for (w, pairs) in bucket(l_recv).into_iter().enumerate() {
             if w % grid.pr == x {
                 ops += pairs.len() as u64;
-                l_panels[w] =
-                    Some(SparseBlock::from_pairs(grid.col_count(n, y), grid.pc, &mut pairs));
+                l_panels[w] = Some(SparseBlock::from_pairs(grid.col_count(n, y), grid.pc, pairs));
             } else {
                 debug_assert!(pairs.is_empty(), "panel routed to wrong owner");
             }
         }
-        let mut t_pairs: Vec<(u32, u32)> =
-            t_recv.into_iter().flatten().map(|[a, b]| (a, b)).collect();
-        ops += t_pairs.len() as u64;
-        let task = SparseBlock::from_pairs(grid.row_count(n, x), grid.pr, &mut t_pairs);
+        let t_entries = t_recv.iter().flat_map(|m| m.iter()).map(|&[v, k]| task_of(v, k));
+        let task = SparseBlock::from_entries(grid.row_count(n, x), grid.pr, t_entries);
+        drop(t_recv);
+        ops += task.num_entries() as u64;
 
         let local_max_row = u_panels.iter().flatten().map(|b| b.max_row_len()).max().unwrap_or(0);
         let max_hash_row = comm.allreduce_max_u64(local_max_row as u64)? as usize;

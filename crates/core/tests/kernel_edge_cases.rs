@@ -31,12 +31,12 @@ fn kernel_configs() -> [TcConfig; 4] {
 /// serves as both the hash and the probe operand.
 fn kernel_count(el: &EdgeList, cfg: &TcConfig) -> u64 {
     let n = el.num_vertices.max(1);
-    let mut u_pairs: Vec<(u32, u32)> = el.edges.clone();
-    let mut p_pairs: Vec<(u32, u32)> = el.edges.clone();
-    let mut t_pairs: Vec<(u32, u32)> = el.edges.iter().map(|&(u, v)| (v, u)).collect();
-    let ublock = SparseBlock::from_pairs(n, 1, &mut u_pairs);
-    let pblock = SparseBlock::from_pairs(n, 1, &mut p_pairs);
-    let task = SparseBlock::from_pairs(n, 1, &mut t_pairs);
+    let u_pairs: Vec<(u32, u32)> = el.edges.clone();
+    let p_pairs: Vec<(u32, u32)> = el.edges.clone();
+    let t_pairs: Vec<(u32, u32)> = el.edges.iter().map(|&(u, v)| (v, u)).collect();
+    let ublock = SparseBlock::from_pairs(n, 1, u_pairs);
+    let pblock = SparseBlock::from_pairs(n, 1, p_pairs);
+    let task = SparseBlock::from_pairs(n, 1, t_pairs);
     let mut ks = KernelState::new(ublock.max_row_len(), 1);
     let mut tasks = 0u64;
     count_shift(&task, &ublock, &pblock, &mut ks, 1, cfg, &mut tasks)

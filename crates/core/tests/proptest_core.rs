@@ -70,8 +70,7 @@ proptest! {
             v.sort_unstable();
             v
         };
-        let mut work = input;
-        let block = SparseBlock::from_pairs(num_rows, q, &mut work);
+        let block = SparseBlock::from_pairs(num_rows, q, input);
         // Reconstruct (row, col) pairs from the block.
         let mut got = Vec::new();
         for lr in 0..block.num_rows() {

@@ -78,7 +78,7 @@ fn mk_block(n: usize, q: usize, class: usize, salt: u32) -> SparseBlock {
             pairs.push((r, (salt + lr * 3 + j * 5) % n as u32));
         }
     }
-    SparseBlock::from_pairs(rows, q, &mut pairs)
+    SparseBlock::from_pairs(rows, q, pairs)
 }
 
 /// One full rotation of the steady-state loop: post the shift, compute

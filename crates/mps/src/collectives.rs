@@ -17,7 +17,7 @@ use bytes::Bytes;
 
 use crate::comm::{coll_op_name, Comm, COLL_SEQ_MASK};
 use crate::error::{MpsError, MpsResult};
-use crate::pod::{bytes_of, vec_from_bytes, Pod};
+use crate::pod::{bytes_of, vec_from_bytes, Pod, PodArray};
 
 const OP_BARRIER: u64 = 1;
 const OP_BCAST: u64 = 2;
@@ -43,9 +43,10 @@ fn coll_encode<T: Pod>(data: &[T]) -> Bytes {
 }
 
 impl Comm {
-    /// Decodes a typed collective payload, checking the debug stamp.
-    fn coll_decode<T: Pod>(&self, src: usize, tag: u64, raw: &Bytes) -> MpsResult<Vec<T>> {
-        let body = if cfg!(debug_assertions) {
+    /// Strips a typed collective payload down to its body, checking
+    /// the debug stamp. The body shares `raw`'s allocation.
+    fn coll_body<T: Pod>(&self, src: usize, tag: u64, raw: Bytes) -> MpsResult<Bytes> {
+        if cfg!(debug_assertions) {
             assert!(raw.len() >= 8, "collective payload shorter than its debug stamp");
             let mut stamp = [0u8; 8];
             stamp.copy_from_slice(&raw[..8]);
@@ -67,17 +68,22 @@ impl Comm {
                     ),
                 });
             }
-            raw.slice(8..)
+            Ok(raw.slice(8..))
         } else {
-            raw.clone()
-        };
-        Ok(vec_from_bytes(&body))
+            Ok(raw)
+        }
     }
 
     /// Typed receive inside a collective: recv + stamped decode.
     fn coll_recv<T: Pod>(&self, src: usize, tag: u64) -> MpsResult<Vec<T>> {
         let raw = self.recv_internal(src, tag)?;
-        self.coll_decode(src, tag, &raw)
+        Ok(vec_from_bytes(&self.coll_body::<T>(src, tag, raw)?))
+    }
+
+    /// Typed receive inside a collective as a view of the wire buffer.
+    fn coll_recv_view<T: Pod>(&self, src: usize, tag: u64) -> MpsResult<PodArray<T>> {
+        let raw = self.recv_internal(src, tag)?;
+        Ok(PodArray::new(self.coll_body::<T>(src, tag, raw)?))
     }
 
     /// Blocks until every rank has entered the barrier.
@@ -322,29 +328,28 @@ impl Comm {
     ///
     /// Implemented as `p` point-to-point sends and receives, exactly
     /// the structure the paper assumes for its `p + m/p` preprocessing
-    /// communication bound.
-    pub fn alltoallv<T: Pod>(&self, sends: &[Vec<T>]) -> MpsResult<Vec<Vec<T>>> {
-        assert_eq!(
-            sends.len(),
-            self.size(),
-            "alltoallv needs exactly one buffer per destination rank"
-        );
+    /// communication bound. Each send buffer is freed as soon as it is
+    /// encoded, so the sends and their wire copies are never all live
+    /// at once. The received pieces are views of the wire buffers (no
+    /// decode copy); this rank's own piece is its send buffer, moved.
+    pub fn alltoallv<T: Pod>(&self, mut sends: Vec<Vec<T>>) -> MpsResult<Vec<PodArray<T>>> {
+        let (p, me) = (self.size(), self.rank());
+        assert_eq!(sends.len(), p, "alltoallv needs exactly one buffer per destination rank");
         let tag = self.next_coll_tag(OP_ALLTOALL);
         let _tspan = self.coll_span(tag);
         // Stagger destinations so all ranks don't hammer rank 0 first.
-        for k in 0..self.size() {
-            let dst = (self.rank() + k) % self.size();
-            if dst != self.rank() {
-                self.send_internal(dst, tag, coll_encode(&sends[dst]));
-            }
+        for k in 1..p {
+            let dst = (me + k) % p;
+            let buf = std::mem::take(&mut sends[dst]);
+            self.send_internal(dst, tag, coll_encode(&buf));
         }
-        let mut out: Vec<Vec<T>> = (0..self.size()).map(|_| Vec::new()).collect();
-        out[self.rank()] = sends[self.rank()].clone();
-        for k in 0..self.size() {
-            let src = (self.rank() + self.size() - k) % self.size();
-            if src != self.rank() {
-                out[src] = self.coll_recv(src, tag)?;
-            }
+        let mine = PodArray::from_vec(std::mem::take(&mut sends[me]));
+        drop(sends);
+        let mut out: Vec<PodArray<T>> = (0..p).map(|_| PodArray::from_vec(Vec::new())).collect();
+        out[me] = mine;
+        for k in 1..p {
+            let src = (me + p - k) % p;
+            out[src] = self.coll_recv_view(src, tag)?;
         }
         Ok(out)
     }
@@ -585,11 +590,11 @@ mod tests {
             // Rank s sends [s*10+d; d+1] to rank d.
             let sends: Vec<Vec<u32>> =
                 (0..p).map(|d| vec![(c.rank() * 10 + d) as u32; d + 1]).collect();
-            c.alltoallv(&sends).unwrap()
+            c.alltoallv(sends).unwrap()
         });
         for (d, recvd) in out.iter().enumerate() {
             for (s, part) in recvd.iter().enumerate() {
-                assert_eq!(part, &vec![(s * 10 + d) as u32; d + 1], "d={d} s={s}");
+                assert_eq!(&part[..], &vec![(s * 10 + d) as u32; d + 1][..], "d={d} s={s}");
             }
         }
     }

@@ -255,6 +255,9 @@ impl Comm {
             }
             None
         });
+        // Dump before clearing, as the reliable path does, so a
+        // timeout report shows the timed-out rank itself as blocked.
+        let report = matches!(outcome, AwaitOutcome::TimedOut).then(|| self.fabric.dump());
         self.fabric.set_blocked(self.rank, None);
 
         match outcome {
@@ -283,7 +286,7 @@ impl Comm {
                 op,
                 tag,
                 waited: t0.elapsed(),
-                report: self.fabric.dump(),
+                report: report.expect("dumped on timeout"),
             }),
             AwaitOutcome::SliceExpired => {
                 unreachable!("no slice deadline on the chaos-off receive path")

@@ -69,13 +69,16 @@ pub fn vec_from_bytes<T: Pod>(bytes: &[u8]) -> Vec<T> {
 
 /// A typed view over a received byte buffer.
 ///
-/// When the underlying buffer happens to be properly aligned for `T`
-/// (the common case: allocators return ≥ 8-byte aligned memory and the
-/// blob writer pads sections to 8 bytes) the view is zero-copy;
-/// otherwise the data is materialized once on construction.
+/// When the underlying buffer is aligned for `T` the view is
+/// zero-copy; otherwise the data is materialized once on construction.
+/// Alignment is the common case but not a promise: a [`Bytes`] lives
+/// in the heap block of the `Vec<u8>` it was made from, which the
+/// system `malloc` aligns to 16 bytes, and the collective stamp and the
+/// blob writer keep every payload at an 8-byte offset into it.
+/// A view may also own its elements outright ([`PodArray::from_vec`]).
 pub struct PodArray<T: Pod> {
     /// Keeps the zero-copy backing alive; unused in the copied case.
-    _backing: Option<Bytes>,
+    backing: Option<Bytes>,
     copied: Option<Vec<T>>,
     ptr: *const T,
     len: usize,
@@ -103,12 +106,25 @@ impl<T: Pod> PodArray<T> {
         let len = bytes.len() / sz;
         if bytes.as_ptr().align_offset(std::mem::align_of::<T>()) == 0 {
             let ptr = bytes.as_ptr().cast::<T>();
-            Self { _backing: Some(bytes), copied: None, ptr, len }
+            Self { backing: Some(bytes), copied: None, ptr, len }
         } else {
             let copied = vec_from_bytes::<T>(&bytes);
             let ptr = copied.as_ptr();
-            Self { _backing: None, copied: Some(copied), ptr, len }
+            Self { backing: None, copied: Some(copied), ptr, len }
         }
+    }
+
+    /// Wraps an owned vector (no copy; the array owns the elements).
+    pub fn from_vec(v: Vec<T>) -> Self {
+        let (ptr, len) = (v.as_ptr(), v.len());
+        Self { backing: None, copied: Some(v), ptr, len }
+    }
+
+    /// Whether the elements are read in place from a byte buffer
+    /// (`false` when they were copied out of a misaligned one, or the
+    /// array was built from a vector).
+    pub fn is_borrowed(&self) -> bool {
+        self.backing.is_some()
     }
 
     /// The elements as a slice.
@@ -194,6 +210,7 @@ mod tests {
         let v: Vec<u64> = (0..100).collect();
         let bytes = Bytes::from(bytes_of(&v).to_vec());
         let arr = PodArray::<u64>::new(bytes);
+        assert!(arr.is_borrowed());
         assert_eq!(arr.as_slice(), v.as_slice());
         assert_eq!(arr.len(), 100);
     }
@@ -205,7 +222,18 @@ mod tests {
         raw.extend_from_slice(bytes_of(&v));
         let bytes = Bytes::from(raw).slice(1..);
         let arr = PodArray::<u32>::new(bytes);
+        assert!(!arr.is_borrowed());
         assert_eq!(arr.as_slice(), v.as_slice());
+    }
+
+    #[test]
+    fn pod_array_from_vec_owns_without_copying() {
+        let v: Vec<[u32; 2]> = vec![[1, 2], [3, 4]];
+        let at = v.as_ptr();
+        let arr = PodArray::from_vec(v);
+        assert!(!arr.is_borrowed());
+        assert_eq!(arr.as_slice().as_ptr(), at);
+        assert_eq!(arr.into_vec(), vec![[1, 2], [3, 4]]);
     }
 
     #[test]

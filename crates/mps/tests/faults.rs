@@ -30,7 +30,7 @@ fn mini_cannon(c: &Comm, fail_phase: Option<&str>, fail_rank: usize) -> MpsResul
     // Preprocessing stand-in: personalized exchange + global count.
     boom("preprocess");
     let sends: Vec<Vec<u64>> = (0..p).map(|d| vec![(c.rank() * p + d) as u64; 4]).collect();
-    let received = c.alltoallv(&sends)?;
+    let received = c.alltoallv(sends)?;
     let local: u64 = received.iter().map(|v| v.len() as u64).sum();
     let total = c.allreduce_sum_u64(local)?;
     assert_eq!(total, (p * p * 4) as u64);

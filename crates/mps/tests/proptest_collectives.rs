@@ -72,13 +72,13 @@ proptest! {
                     vec![(c.rank() as u64) << 32 | d as u64; len]
                 })
                 .collect();
-            c.alltoallv(&sends).unwrap()
+            c.alltoallv(sends).unwrap()
         });
         for (d, recvd) in out.iter().enumerate() {
             for (s, part) in recvd.iter().enumerate() {
                 let len = ((seed >> (d % 8)) % 5) as usize;
                 prop_assert_eq!(part.len(), len);
-                for &x in part {
+                for &x in part.iter() {
                     prop_assert_eq!(x, (s as u64) << 32 | d as u64);
                 }
             }

@@ -76,9 +76,9 @@ fn interleaved_collective_sequences() {
             let prev = (c.rank() + p - 1) % p;
             c.send_val::<u64>(next, 99, round);
             let sends: Vec<Vec<u64>> = (0..p).map(|d| vec![round * 10 + d as u64]).collect();
-            let got = c.alltoallv(&sends).unwrap();
+            let got = c.alltoallv(sends).unwrap();
             for (src, v) in got.iter().enumerate() {
-                assert_eq!(v, &vec![round * 10 + c.rank() as u64], "round {round} src {src}");
+                assert_eq!(&v[..], &[round * 10 + c.rank() as u64], "round {round} src {src}");
             }
             let sum = c.allreduce_sum_u64(round).unwrap();
             assert_eq!(sum, round * p as u64);
@@ -113,7 +113,7 @@ fn empty_messages_everywhere() {
     let p = 5;
     Universe::run(p, |c| {
         let sends: Vec<Vec<u32>> = vec![Vec::new(); p];
-        let got = c.alltoallv(&sends).unwrap();
+        let got = c.alltoallv(sends).unwrap();
         assert!(got.iter().all(|v| v.is_empty()));
         for dst in 0..p {
             c.send::<u64>(dst, 5, &[]);

@@ -670,7 +670,7 @@ impl Engine {
                 dst.extend_from_slice(row);
             }
         }
-        let received = comm.alltoallv(&sends)?;
+        let received = comm.alltoallv(sends)?;
         let mut remote: HashMap<u32, Vec<u32>> = HashMap::new();
         for buf in received {
             let mut at = 0usize;

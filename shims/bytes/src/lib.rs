@@ -6,6 +6,15 @@
 //! cloneable (`Arc`-backed), sliceable, immutable byte buffer. Clones
 //! and sub-slices share one allocation, which is what makes the blob
 //! decode path of `tc-mps` zero-copy.
+//!
+//! `Bytes::from(Vec<u8>)` takes the vector itself behind the `Arc`:
+//! the payload is never copied, so the bytes live in the vector's own
+//! heap block. Rust promises only 1-byte alignment for a `Vec<u8>`;
+//! the platform `malloc` behind the system allocator returns 16-byte
+//! aligned blocks on 64-bit glibc and musl targets, which is what
+//! keeps typed views over a received buffer zero-copy in practice.
+//! Consumers that reinterpret the bytes (`tc_mps::PodArray`) check the
+//! alignment of every view and copy when it does not hold.
 
 use std::ops::{Bound, RangeBounds};
 use std::sync::{Arc, OnceLock};
@@ -13,7 +22,7 @@ use std::sync::{Arc, OnceLock};
 /// A cheaply cloneable, immutable, contiguous slice of memory.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -25,8 +34,8 @@ impl Bytes {
     /// this is allocation-free after the first call (empty buffers are
     /// used as placeholders on hot paths).
     pub fn new() -> Self {
-        static EMPTY: OnceLock<Arc<[u8]>> = OnceLock::new();
-        let empty = EMPTY.get_or_init(|| Arc::from([] as [u8; 0]));
+        static EMPTY: OnceLock<Arc<Vec<u8>>> = OnceLock::new();
+        let empty = EMPTY.get_or_init(|| Arc::new(Vec::new()));
         Self { data: Arc::clone(empty), start: 0, end: 0 }
     }
 
@@ -89,9 +98,10 @@ impl Default for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes ownership of `v` without copying its contents.
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
-        Self { data: Arc::from(v.into_boxed_slice()), start: 0, end }
+        Self { data: Arc::new(v), start: 0, end }
     }
 }
 
@@ -153,6 +163,15 @@ mod tests {
         assert_eq!(&s[..], &[2, 3, 4]);
         assert_eq!(s.slice(1..).as_slice(), &[3, 4]);
         assert_eq!(b.as_ptr() as usize + 1, s.as_ptr() as usize);
+    }
+
+    #[test]
+    fn from_vec_keeps_the_vector_allocation() {
+        let v = vec![7u8; 4096];
+        let at = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), at, "the payload must not be copied");
+        assert_eq!(b.slice(8..).as_ptr(), at.wrapping_add(8));
     }
 
     #[test]
