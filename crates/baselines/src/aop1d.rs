@@ -18,7 +18,7 @@ use tc_graph::vset::VertexSet;
 use tc_graph::Block1D;
 use tc_metrics::names as mnames;
 use tc_mps::{MpsResult, Observe, Universe};
-use tc_trace::{names, Category, TraceHandle};
+use tc_trace::{names, Category};
 
 use crate::serial::Oriented;
 
@@ -56,20 +56,11 @@ pub fn count_aop1d(el: &EdgeList, p: usize) -> Dist1dResult {
 /// Fallible [`count_aop1d`]: runtime failures come back as
 /// [`tc_mps::MpsError`] instead of a panic.
 pub fn try_count_aop1d(el: &EdgeList, p: usize) -> MpsResult<Dist1dResult> {
-    try_count_aop1d_traced(el, p, None)
+    try_count_aop1d_observed(el, p, Observe::none())
 }
 
-/// [`try_count_aop1d`] with an optional trace session: each rank
-/// records setup/count phase spans plus the substrate's comm spans.
-pub fn try_count_aop1d_traced(
-    el: &EdgeList,
-    p: usize,
-    trace: Option<&TraceHandle>,
-) -> MpsResult<Dist1dResult> {
-    try_count_aop1d_observed(el, p, Observe::trace(trace))
-}
-
-/// [`try_count_aop1d`] with optional trace and metrics sessions.
+/// [`try_count_aop1d`] with optional trace and metrics sessions: each
+/// rank records setup/count phase spans plus the substrate's comm spans.
 pub fn try_count_aop1d_observed(
     el: &EdgeList,
     p: usize,

@@ -18,7 +18,7 @@ use tc_graph::vset::VertexSet;
 use tc_graph::Block1D;
 use tc_metrics::names as mnames;
 use tc_mps::{MpsResult, Observe, Universe};
-use tc_trace::{names, Category, TraceHandle};
+use tc_trace::{names, Category};
 
 use crate::aop1d::Dist1dResult;
 use crate::serial::Oriented;
@@ -43,17 +43,7 @@ pub fn try_count_psp1d(
     p: usize,
     num_super_blocks: usize,
 ) -> MpsResult<Dist1dResult> {
-    try_count_psp1d_traced(el, p, num_super_blocks, None)
-}
-
-/// [`try_count_psp1d`] with an optional trace session.
-pub fn try_count_psp1d_traced(
-    el: &EdgeList,
-    p: usize,
-    num_super_blocks: usize,
-    trace: Option<&TraceHandle>,
-) -> MpsResult<Dist1dResult> {
-    try_count_psp1d_observed(el, p, num_super_blocks, Observe::trace(trace))
+    try_count_psp1d_observed(el, p, num_super_blocks, Observe::none())
 }
 
 /// [`try_count_psp1d`] with optional trace and metrics sessions.

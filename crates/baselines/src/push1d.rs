@@ -16,7 +16,7 @@ use tc_graph::vset::VertexSet;
 use tc_graph::Block1D;
 use tc_metrics::names as mnames;
 use tc_mps::{MpsResult, Observe, Universe};
-use tc_trace::{names, Category, TraceHandle};
+use tc_trace::{names, Category};
 
 use crate::aop1d::Dist1dResult;
 use crate::serial::Oriented;
@@ -32,16 +32,7 @@ pub fn count_push1d(el: &EdgeList, p: usize) -> Dist1dResult {
 /// Fallible [`count_push1d`]: runtime failures come back as
 /// [`tc_mps::MpsError`] instead of a panic.
 pub fn try_count_push1d(el: &EdgeList, p: usize) -> MpsResult<Dist1dResult> {
-    try_count_push1d_traced(el, p, None)
-}
-
-/// [`try_count_push1d`] with an optional trace session.
-pub fn try_count_push1d_traced(
-    el: &EdgeList,
-    p: usize,
-    trace: Option<&TraceHandle>,
-) -> MpsResult<Dist1dResult> {
-    try_count_push1d_observed(el, p, Observe::trace(trace))
+    try_count_push1d_observed(el, p, Observe::none())
 }
 
 /// [`try_count_push1d`] with optional trace and metrics sessions.

@@ -23,7 +23,7 @@ use tc_graph::edgelist::EdgeList;
 use tc_graph::{Block1D, Csr};
 use tc_metrics::names as mnames;
 use tc_mps::{MpsResult, Observe, Universe};
-use tc_trace::{names, Category, TraceHandle};
+use tc_trace::{names, Category};
 
 /// Outcome of a wedge-checking run.
 #[derive(Debug, Clone)]
@@ -60,21 +60,12 @@ pub fn count_wedge(el: &EdgeList, p: usize) -> WedgeResult {
 /// Fallible [`count_wedge`]: runtime failures come back as
 /// [`tc_mps::MpsError`] instead of a panic.
 pub fn try_count_wedge(el: &EdgeList, p: usize) -> MpsResult<WedgeResult> {
-    try_count_wedge_traced(el, p, None)
+    try_count_wedge_observed(el, p, Observe::none())
 }
 
-/// [`try_count_wedge`] with an optional trace session: the 2-core
-/// peeling records as the setup phase, wedge checking as the count
-/// phase.
-pub fn try_count_wedge_traced(
-    el: &EdgeList,
-    p: usize,
-    trace: Option<&TraceHandle>,
-) -> MpsResult<WedgeResult> {
-    try_count_wedge_observed(el, p, Observe::trace(trace))
-}
-
-/// [`try_count_wedge`] with optional trace and metrics sessions.
+/// [`try_count_wedge`] with optional trace and metrics sessions: the
+/// 2-core peeling records as the setup phase, wedge checking as the
+/// count phase.
 pub fn try_count_wedge_observed(
     el: &EdgeList,
     p: usize,

@@ -34,7 +34,6 @@ fn main() {
         ("no-direct-hash", base.with_direct_hash(false)),
         ("no-early-break", base.with_reverse_early_break(false)),
         ("enumeration-ijk", base.with_enumeration(Enumeration::Ijk)),
-        ("no-overlap", base.with_overlap_shifts(false)),
         ("unoptimized", TcConfig::unoptimized()),
         ("kernel-hash", TcConfig::paper().with_kernel(KernelStrategy::Hash)),
         ("kernel-merge", TcConfig::paper().with_kernel(KernelStrategy::Merge)),

@@ -67,7 +67,7 @@ impl TraceScope {
         Self { session: path.map(|_| tc_trace::TraceSession::begin()), path: path.cloned() }
     }
 
-    /// Handle to pass to `*_traced` entry points (`None` when inert).
+    /// Handle to pass to [`tc_mps::Observe::trace`] (`None` when inert).
     pub fn handle(&self) -> Option<tc_trace::TraceHandle> {
         self.session.as_ref().map(|s| s.handle())
     }
@@ -81,7 +81,8 @@ pub fn count_2d(
     cfg: &tc_core::TcConfig,
     trace: Option<&tc_trace::TraceHandle>,
 ) -> tc_core::TcResult {
-    tc_core::try_count_triangles_traced(el, p, cfg, trace).unwrap_or_else(|e| panic!("{e}"))
+    tc_core::try_count_triangles_observed(el, p, cfg, tc_mps::Observe::trace(trace))
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`count_2d`] with the default configuration.
@@ -100,7 +101,7 @@ pub fn count_summa(
     cfg: &tc_core::TcConfig,
     trace: Option<&tc_trace::TraceHandle>,
 ) -> tc_core::TcResult {
-    tc_core::try_count_triangles_summa_traced(el, grid, cfg, trace)
+    tc_core::try_count_triangles_summa_observed(el, grid, cfg, tc_mps::Observe::trace(trace))
         .unwrap_or_else(|e| panic!("{e}"))
 }
 

@@ -242,19 +242,19 @@ USAGE:
   tricount count  <FILE|PRESET> [--algorithm 2d|summa|serial|shared|aop|push|psp|wedge]
                   [--ranks N] [--grid RxC] [--seed S] [--stats]
                   [--enumeration jik|ijk] [--no-doubly-sparse] [--no-direct-hash]
-                  [--no-early-break] [--no-overlap] [--kernel auto|hash|merge|bitmap]
+                  [--no-early-break] [--kernel auto|hash|merge|bitmap]
                   [--trace FILE] [--metrics FILE] [--chaos SEED]
   tricount serve-rank <FILE|PRESET> [--rank N --peers EP0,EP1,...] [--epoch E]
                   [--algorithm 2d|summa] [--grid RxC] [--seed S] [--chaos SEED]
                   [--metrics FILE] [--trace FILE] [--enumeration jik|ijk]
                   [--no-doubly-sparse] [--no-direct-hash] [--no-early-break]
-                  [--no-overlap] [--kernel auto|hash|merge|bitmap]
+                  [--kernel auto|hash|merge|bitmap]
   tricount serve  <FILE|PRESET> --listen SOCK [--ranks N] [--rank N --peers EP0,...]
                   [--epoch E] [--state-dir DIR] [--algorithm 2d|summa] [--grid RxC]
                   [--seed S] [--chaos SEED] [--metrics FILE] [--json FILE]
                   [--flush-ms MS] [--max-batch N] [--queue N] [--tick-ms MS]
                   [--enumeration jik|ijk] [--no-doubly-sparse] [--no-direct-hash]
-                  [--no-early-break] [--no-overlap] [--kernel auto|hash|merge|bitmap]
+                  [--no-early-break] [--kernel auto|hash|merge|bitmap]
   tricount supervise <FILE|PRESET> --listen SOCK --state-dir DIR [--ranks N]
                   [--max-restarts N] [--backoff-ms MS] [-- SERVE-FLAGS...]
   tricount query  <SOCK> count|stats|metrics|flush|shutdown [--timeout-ms MS]
@@ -382,6 +382,7 @@ pub fn parse_with_env(
     args: &[String],
     env_kernel: Option<KernelStrategy>,
 ) -> Result<Command, String> {
+    let base_config = env_kernel.map_or(TcConfig::paper(), |k| TcConfig::paper().with_kernel(k));
     let mut it = args.iter();
     let cmd = match it.next() {
         None => return Ok(Command::Help),
@@ -427,10 +428,7 @@ pub fn parse_with_env(
             let mut epoch = None;
             let mut algorithm = Algorithm::TwoD;
             let mut grid = None;
-            let mut config = TcConfig::paper();
-            if let Some(k) = env_kernel {
-                config.kernel = k;
-            }
+            let mut config = base_config;
             let mut seed = tc_gen::DEFAULT_SEED;
             let mut chaos = None;
             let mut metrics = None;
@@ -458,14 +456,7 @@ pub fn parse_with_env(
                         algorithm =
                             Algorithm::parse(it.next().ok_or("--algorithm needs a value")?)?;
                     }
-                    "--grid" => {
-                        let v = it.next().ok_or("--grid needs RxC")?;
-                        let (r, c) = v.split_once('x').ok_or("grid must look like 3x4")?;
-                        grid = Some((
-                            r.parse().map_err(|e| format!("bad grid rows: {e}"))?,
-                            c.parse().map_err(|e| format!("bad grid cols: {e}"))?,
-                        ));
-                    }
+                    "--grid" => grid = Some(parse_grid(it.next().ok_or("--grid needs RxC")?)?),
                     "--seed" => {
                         seed = it
                             .next()
@@ -487,25 +478,11 @@ pub fn parse_with_env(
                     "--trace" => {
                         trace = Some(PathBuf::from(it.next().ok_or("--trace needs a path")?))
                     }
-                    "--enumeration" => {
-                        config.enumeration =
-                            match it.next().ok_or("--enumeration needs a value")?.as_str() {
-                                "jik" => Enumeration::Jik,
-                                "ijk" => Enumeration::Ijk,
-                                other => return Err(format!("unknown enumeration {other:?}")),
-                            };
+                    other => {
+                        if !parse_config_flag(other, &mut it, &mut config)? {
+                            return Err(format!("unknown flag {other:?}"));
+                        }
                     }
-                    "--no-doubly-sparse" => config.doubly_sparse = false,
-                    "--no-direct-hash" => config.direct_hash = false,
-                    "--no-early-break" => config.reverse_early_break = false,
-                    "--no-overlap" => config.overlap_shifts = false,
-                    "--kernel" => {
-                        config.kernel = it
-                            .next()
-                            .ok_or("--kernel needs a value (auto|hash|merge|bitmap)")?
-                            .parse()?;
-                    }
-                    other => return Err(format!("unknown flag {other:?}")),
                 }
             }
             if rank.is_some() != peers.is_some() {
@@ -541,10 +518,7 @@ pub fn parse_with_env(
             let mut epoch = None;
             let mut algorithm = Algorithm::TwoD;
             let mut grid = None;
-            let mut config = TcConfig::paper();
-            if let Some(k) = env_kernel {
-                config.kernel = k;
-            }
+            let mut config = base_config;
             let mut seed = tc_gen::DEFAULT_SEED;
             let mut chaos = None;
             let mut metrics = None;
@@ -591,14 +565,7 @@ pub fn parse_with_env(
                         algorithm =
                             Algorithm::parse(it.next().ok_or("--algorithm needs a value")?)?;
                     }
-                    "--grid" => {
-                        let v = it.next().ok_or("--grid needs RxC")?;
-                        let (r, c) = v.split_once('x').ok_or("grid must look like 3x4")?;
-                        grid = Some((
-                            r.parse().map_err(|e| format!("bad grid rows: {e}"))?,
-                            c.parse().map_err(|e| format!("bad grid cols: {e}"))?,
-                        ));
-                    }
+                    "--grid" => grid = Some(parse_grid(it.next().ok_or("--grid needs RxC")?)?),
                     "--seed" => {
                         seed = it
                             .next()
@@ -650,25 +617,11 @@ pub fn parse_with_env(
                                 .map_err(|e| format!("bad tick interval: {e}"))?,
                         );
                     }
-                    "--enumeration" => {
-                        config.enumeration =
-                            match it.next().ok_or("--enumeration needs a value")?.as_str() {
-                                "jik" => Enumeration::Jik,
-                                "ijk" => Enumeration::Ijk,
-                                other => return Err(format!("unknown enumeration {other:?}")),
-                            };
+                    other => {
+                        if !parse_config_flag(other, &mut it, &mut config)? {
+                            return Err(format!("unknown flag {other:?}"));
+                        }
                     }
-                    "--no-doubly-sparse" => config.doubly_sparse = false,
-                    "--no-direct-hash" => config.direct_hash = false,
-                    "--no-early-break" => config.reverse_early_break = false,
-                    "--no-overlap" => config.overlap_shifts = false,
-                    "--kernel" => {
-                        config.kernel = it
-                            .next()
-                            .ok_or("--kernel needs a value (auto|hash|merge|bitmap)")?
-                            .parse()?;
-                    }
-                    other => return Err(format!("unknown flag {other:?}")),
                 }
             }
             if rank.is_some() != peers.is_some() {
@@ -864,10 +817,7 @@ pub fn parse_with_env(
             let mut algorithm = Algorithm::TwoD;
             let mut ranks = 4usize;
             let mut grid = None;
-            let mut config = TcConfig::paper();
-            if let Some(k) = env_kernel {
-                config.kernel = k;
-            }
+            let mut config = base_config;
             let mut seed = tc_gen::DEFAULT_SEED;
             let mut stats = false;
             let mut trace = None;
@@ -886,38 +836,13 @@ pub fn parse_with_env(
                             .parse()
                             .map_err(|e| format!("bad ranks: {e}"))?;
                     }
-                    "--grid" => {
-                        let v = it.next().ok_or("--grid needs RxC")?;
-                        let (r, c) = v.split_once('x').ok_or("grid must look like 3x4")?;
-                        grid = Some((
-                            r.parse().map_err(|e| format!("bad grid rows: {e}"))?,
-                            c.parse().map_err(|e| format!("bad grid cols: {e}"))?,
-                        ));
-                    }
+                    "--grid" => grid = Some(parse_grid(it.next().ok_or("--grid needs RxC")?)?),
                     "--seed" => {
                         seed = it
                             .next()
                             .ok_or("--seed needs a value")?
                             .parse()
                             .map_err(|e| format!("bad seed: {e}"))?;
-                    }
-                    "--enumeration" => {
-                        config.enumeration =
-                            match it.next().ok_or("--enumeration needs a value")?.as_str() {
-                                "jik" => Enumeration::Jik,
-                                "ijk" => Enumeration::Ijk,
-                                other => return Err(format!("unknown enumeration {other:?}")),
-                            };
-                    }
-                    "--no-doubly-sparse" => config.doubly_sparse = false,
-                    "--no-direct-hash" => config.direct_hash = false,
-                    "--no-early-break" => config.reverse_early_break = false,
-                    "--no-overlap" => config.overlap_shifts = false,
-                    "--kernel" => {
-                        config.kernel = it
-                            .next()
-                            .ok_or("--kernel needs a value (auto|hash|merge|bitmap)")?
-                            .parse()?;
                     }
                     "--stats" => stats = true,
                     "--trace" => {
@@ -934,7 +859,11 @@ pub fn parse_with_env(
                                 .map_err(|e| format!("bad chaos seed: {e}"))?,
                         )
                     }
-                    other => return Err(format!("unknown flag {other:?}")),
+                    other => {
+                        if !parse_config_flag(other, &mut it, &mut config)? {
+                            return Err(format!("unknown flag {other:?}"));
+                        }
+                    }
                 }
             }
             if algorithm == Algorithm::TwoD && tc_mps::perfect_square_side(ranks).is_none() {
@@ -944,10 +873,7 @@ pub fn parse_with_env(
                 ));
             }
             if algorithm == Algorithm::Summa && grid.is_none() {
-                // Derive a near-square rectangle from --ranks.
-                let r = (ranks as f64).sqrt() as usize;
-                let r = (1..=r.max(1)).rev().find(|d| ranks % d == 0).unwrap_or(1);
-                grid = Some((r, ranks / r));
+                grid = Some(near_square_grid(ranks));
             }
             if trace.is_some() && matches!(algorithm, Algorithm::Serial | Algorithm::Shared) {
                 return Err(
@@ -987,6 +913,52 @@ pub fn parse_with_env(
 /// Builds a [`SummaGrid`] from the parsed pair.
 pub fn summa_grid(grid: (usize, usize)) -> SummaGrid {
     SummaGrid::new(grid.0, grid.1)
+}
+
+/// The near-square `r × c` grid for `ranks` ranks: `r` is the largest
+/// divisor of `ranks` not above `√ranks`, so `r ≤ c` and `r · c = ranks`.
+pub fn near_square_grid(ranks: usize) -> (usize, usize) {
+    let r = (ranks as f64).sqrt() as usize;
+    let r = (1..=r.max(1)).rev().find(|d| ranks % d == 0).unwrap_or(1);
+    (r, ranks / r)
+}
+
+/// Parses a `--grid RxC` value.
+fn parse_grid(v: &str) -> Result<(usize, usize), String> {
+    let (r, c) = v.split_once('x').ok_or("grid must look like 3x4")?;
+    Ok((
+        r.parse().map_err(|e| format!("bad grid rows: {e}"))?,
+        c.parse().map_err(|e| format!("bad grid cols: {e}"))?,
+    ))
+}
+
+/// Applies one [`TcConfig`] flag (`--enumeration`, `--no-doubly-sparse`,
+/// `--no-direct-hash`, `--no-early-break`, `--kernel`) to `config`,
+/// taking its value from `it`. Returns `Ok(false)` when `flag` is not
+/// one of them.
+fn parse_config_flag(
+    flag: &str,
+    it: &mut std::slice::Iter<'_, String>,
+    config: &mut TcConfig,
+) -> Result<bool, String> {
+    match flag {
+        "--enumeration" => {
+            config.enumeration = match it.next().ok_or("--enumeration needs a value")?.as_str() {
+                "jik" => Enumeration::Jik,
+                "ijk" => Enumeration::Ijk,
+                other => return Err(format!("unknown enumeration {other:?}")),
+            };
+        }
+        "--no-doubly-sparse" => config.doubly_sparse = false,
+        "--no-direct-hash" => config.direct_hash = false,
+        "--no-early-break" => config.reverse_early_break = false,
+        "--kernel" => {
+            config.kernel =
+                it.next().ok_or("--kernel needs a value (auto|hash|merge|bitmap)")?.parse()?;
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -1029,7 +1001,6 @@ mod tests {
             "--seed",
             "9",
             "--no-direct-hash",
-            "--no-overlap",
             "--enumeration",
             "ijk",
             "--stats",
@@ -1041,7 +1012,6 @@ mod tests {
                 assert_eq!(algorithm, Algorithm::Summa);
                 assert_eq!(grid, Some((2, 3)));
                 assert!(!config.direct_hash);
-                assert!(!config.overlap_shifts);
                 assert_eq!(config.enumeration, Enumeration::Ijk);
                 assert_eq!(seed, 9);
                 assert!(stats);

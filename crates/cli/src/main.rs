@@ -54,6 +54,40 @@ fn main() {
     }
 }
 
+/// The fleet kernel for `p` ranks, shared by `serve-rank` and `serve`:
+/// Cannon needs a perfect-square `p`; SUMMA takes `--grid` or derives
+/// the near-square rectangle, which must cover exactly `p` ranks.
+fn fleet_algo(
+    algorithm: Algorithm,
+    grid: Option<(usize, usize)>,
+    p: usize,
+) -> Result<tc_serve::Algo, AppError> {
+    match algorithm {
+        Algorithm::TwoD => {
+            if tc_mps::perfect_square_side(p).is_none() {
+                return Err(AppError::Run(format!(
+                    "the 2d kernel needs a perfect-square fleet, got {p} ranks \
+                     (use --algorithm summa --grid RxC for rectangles)"
+                )));
+            }
+            Ok(tc_serve::Algo::Cannon)
+        }
+        Algorithm::Summa => {
+            let g = cli::summa_grid(grid.unwrap_or_else(|| cli::near_square_grid(p)));
+            if g.size() != p {
+                return Err(AppError::Run(format!(
+                    "--grid {}x{} covers {} ranks but the fleet has {p}",
+                    g.pr,
+                    g.pc,
+                    g.size()
+                )));
+            }
+            Ok(tc_serve::Algo::Summa(g))
+        }
+        _ => unreachable!("parser admits only fleet algorithms"),
+    }
+}
+
 fn load(input: &Input, seed: u64) -> Result<EdgeList, AppError> {
     match input {
         Input::Preset(p) => {
@@ -287,6 +321,7 @@ fn run(cmd: Command) -> Result<(), AppError> {
                 }
             };
             let p = sock.peers.len();
+            let algo = fleet_algo(algorithm, grid, p)?;
             eprintln!(
                 "# rank {}/{p}: {} vertices, {} edges",
                 sock.rank,
@@ -305,8 +340,8 @@ fn run(cmd: Command) -> Result<(), AppError> {
                 );
             }
             let t0 = Instant::now();
-            let triangles = match algorithm {
-                Algorithm::TwoD => {
+            let triangles = match algo {
+                tc_serve::Algo::Cannon => {
                     let (t, m) = tc_core::try_count_triangles_socket(&el, &config, &sock)
                         .map_err(|e| e.to_string())?;
                     println!("preprocessing : {:.3?}", m.ppt);
@@ -315,13 +350,7 @@ fn run(cmd: Command) -> Result<(), AppError> {
                     println!("bytes sent    : {}", m.bytes_sent);
                     t
                 }
-                Algorithm::Summa => {
-                    let g = grid.map(cli::summa_grid).unwrap_or_else(|| {
-                        // Same near-square derivation as `count`.
-                        let r = (p as f64).sqrt() as usize;
-                        let r = (1..=r.max(1)).rev().find(|d| p % d == 0).unwrap_or(1);
-                        cli::summa_grid((r, p / r))
-                    });
+                tc_serve::Algo::Summa(g) => {
                     let (t, m) = tc_core::try_count_triangles_summa_socket(&el, g, &config, &sock)
                         .map_err(|e| e.to_string())?;
                     println!("grid          : {}x{} ({} panels)", g.pr, g.pc, g.panels);
@@ -329,7 +358,6 @@ fn run(cmd: Command) -> Result<(), AppError> {
                     println!("counting      : {:.3?}", m.tct);
                     t
                 }
-                _ => unreachable!("parser admits only socket-distributed algorithms"),
             };
             println!("rank          : {}/{p}", sock.rank);
             println!("total time    : {:.3?}", t0.elapsed());
@@ -410,27 +438,7 @@ fn run(cmd: Command) -> Result<(), AppError> {
                 _ => tc_mps::SocketConfig::from_env(),
             };
             let p = sock.as_ref().map(|s| s.peers.len()).unwrap_or(ranks);
-            let algo = match algorithm {
-                Algorithm::TwoD => {
-                    if tc_mps::perfect_square_side(p).is_none() {
-                        return Err(AppError::Run(format!(
-                            "the 2d kernel needs a perfect-square fleet, got {p} ranks \
-                             (use --algorithm summa --grid RxC for rectangles)"
-                        )));
-                    }
-                    tc_serve::Algo::Cannon
-                }
-                Algorithm::Summa => {
-                    let g = grid.map(cli::summa_grid).unwrap_or_else(|| {
-                        // Same near-square derivation as `count`.
-                        let r = (p as f64).sqrt() as usize;
-                        let r = (1..=r.max(1)).rev().find(|d| p % d == 0).unwrap_or(1);
-                        cli::summa_grid((r, p / r))
-                    });
-                    tc_serve::Algo::Summa(g)
-                }
-                _ => unreachable!("parser admits only fleet algorithms"),
-            };
+            let algo = fleet_algo(algorithm, grid, p)?;
             let mut scfg = tc_serve::ServeConfig::new(listen).env_overrides();
             scfg.algo = algo;
             scfg.tc = config;

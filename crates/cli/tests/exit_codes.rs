@@ -134,3 +134,52 @@ fn dead_link_from_env_is_runtime_exit_one() {
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
     assert!(stderr(&out).contains("delivery from rank 0"), "{}", stderr(&out));
 }
+
+#[test]
+fn serve_rank_non_square_fleet_is_exit_one() {
+    // Three endpoints cannot host the 2d kernel. The check runs once
+    // the peer list is resolved, before any socket is opened, whether
+    // the list comes from --peers or from the fabric environment.
+    let peers: Vec<String> =
+        ["a", "b", "c"].iter().map(|n| tmp(&format!("{n}.sock")).display().to_string()).collect();
+    let peers = peers.join(",");
+    let flags = run(&["serve-rank", "g500-s6", "--rank", "0", "--peers", &peers]);
+    let env = tricount()
+        .args(["serve-rank", "g500-s6"])
+        .env(tc_mps::FABRIC_RANK_ENV, "0")
+        .env(tc_mps::FABRIC_PEERS_ENV, &peers)
+        .output()
+        .expect("spawn tricount");
+    for out in [flags, env] {
+        assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+        assert!(stderr(&out).contains("perfect-square fleet, got 3 ranks"), "{}", stderr(&out));
+    }
+}
+
+#[test]
+fn serve_rank_grid_not_matching_fleet_is_exit_one() {
+    // A --grid that does not cover the peer list is rejected the same
+    // way, before any socket is opened.
+    let peers: Vec<String> = ["a", "b", "c", "d"]
+        .iter()
+        .map(|n| tmp(&format!("grid-{n}.sock")).display().to_string())
+        .collect();
+    let out = run(&[
+        "serve-rank",
+        "g500-s6",
+        "--algorithm",
+        "summa",
+        "--grid",
+        "2x3",
+        "--rank",
+        "0",
+        "--peers",
+        &peers.join(","),
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("--grid 2x3 covers 6 ranks but the fleet has 4"),
+        "{}",
+        stderr(&out)
+    );
+}

@@ -66,8 +66,8 @@ fn note_exchange_bytes(u_blob: &Bytes, l_blob: &Bytes) {
 }
 
 /// One compute step against the current operand pair, shared by the
-/// single-rank, overlapped, and synchronous schedules: spans, CPU
-/// timing, and the owned/borrowed-generic kernel dispatch.
+/// single-rank path (owned blocks) and the shift loop (borrowed views):
+/// spans, CPU timing, and the kernel dispatch.
 #[allow(clippy::too_many_arguments)] // internal glue mirroring count_shift
 fn compute_step<H: BlockView, P: BlockView>(
     task: &SparseBlock,
@@ -132,7 +132,7 @@ fn cannon_count_impl(
             &mut hits,
             &mut shift_compute,
         );
-    } else if cfg.overlap_shifts {
+    } else {
         // Zero-copy pipeline: each operand is serialized exactly once,
         // at the skew. From then on the pair of blobs is the reusable
         // staging storage — shifts forward the refcounted buffers
@@ -198,65 +198,6 @@ fn cannon_count_impl(
                         .arg("z", (z + 1) as u64);
                 u_blob = left.wait()?;
                 l_blob = up.wait()?;
-            }
-        }
-    } else {
-        // Synchronous ablation schedule: blocking sendrecv exchanges
-        // and owned operands, paying a deserialize + reserialize per
-        // shift. Counts and probe statistics are identical to the
-        // overlapped path; only communication behavior differs.
-        let (mut ublock, mut lblock) = {
-            let _skew_span =
-                tc_trace::span(tc_trace::names::SKEW, tc_trace::Category::Shift).arg("z", 0u64);
-            let u_dst = (x, (y + q - x) % q);
-            let u_src = (x, (x + y) % q);
-            let u_blob = ublock_init.to_blob();
-            let l_blob = lblock_init.to_blob();
-            note_exchange_bytes(&u_blob, &l_blob);
-            tc_metrics::counter_add(
-                mnames::SHIFT_BYTES_SERIALIZED,
-                (u_blob.len() + l_blob.len()) as u64,
-            );
-            let _staging =
-                MemScope::track(mnames::MEM_SHIFT_STAGING, (u_blob.len() + l_blob.len()) as u64);
-            let ub = grid.exchange_bytes(u_dst.0, u_dst.1, u_blob, u_src.0, u_src.1)?;
-            let l_dst = ((x + q - y) % q, y);
-            let l_src = ((x + y) % q, y);
-            let lb = grid.exchange_bytes(l_dst.0, l_dst.1, l_blob, l_src.0, l_src.1)?;
-            (SparseBlock::from_blob(ub), SparseBlock::from_blob(lb))
-        };
-        for z in 0..q {
-            local += compute_step(
-                &prep.task,
-                &ublock,
-                &lblock,
-                &mut ks,
-                q,
-                cfg,
-                z,
-                &mut tasks,
-                &mut hits,
-                &mut shift_compute,
-            );
-            if z + 1 < q {
-                // Tag the exchange with the shift whose operands it
-                // delivers (matching the skew, which delivers shift 0's).
-                let _xchg_span =
-                    tc_trace::span(tc_trace::names::SHIFT_XCHG, tc_trace::Category::Shift)
-                        .arg("z", (z + 1) as u64);
-                let u_blob = ublock.to_blob();
-                let l_blob = lblock.to_blob();
-                note_exchange_bytes(&u_blob, &l_blob);
-                tc_metrics::counter_add(
-                    mnames::SHIFT_BYTES_SERIALIZED,
-                    (u_blob.len() + l_blob.len()) as u64,
-                );
-                let _staging = MemScope::track(
-                    mnames::MEM_SHIFT_STAGING,
-                    (u_blob.len() + l_blob.len()) as u64,
-                );
-                ublock = SparseBlock::from_blob(grid.shift_left(u_blob)?);
-                lblock = SparseBlock::from_blob(grid.shift_up(l_blob)?);
             }
         }
     }

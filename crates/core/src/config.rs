@@ -1,7 +1,10 @@
 //! Algorithm configuration and optimization toggles.
 //!
-//! Every §5.2 optimization can be switched off independently so the
-//! §7.3 ablation experiments can quantify exactly what each one buys.
+//! Every §5.2 computation optimization can be switched off
+//! independently so the §7.3 ablation experiments can quantify exactly
+//! what each one buys. The §5.2 communication optimization (operands
+//! serialized once at the skew, then forwarded and read in place while
+//! the next shift is in flight) is the only counting schedule.
 
 /// Triangle enumeration rule (paper §3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,14 +98,6 @@ pub struct TcConfig {
     /// Reverse traversal of the probe row with early break (§5.2
     /// "eliminating unnecessary intersection operations"). Default on.
     pub reverse_early_break: bool,
-    /// Zero-copy operand pipeline: post the next shift/panel exchange
-    /// before computing the current step, compute against borrowed
-    /// blob views, and forward pass-through operands without
-    /// re-serializing (§5.2 "reducing overheads associated with
-    /// communication"). Off = the synchronous
-    /// deserialize-compute-reserialize schedule, kept for ablation.
-    /// Default on.
-    pub overlap_shifts: bool,
     /// Set-intersection strategy for the per-shift kernel. Default
     /// [`KernelStrategy::Auto`]; [`KernelStrategy::Hash`] is the
     /// pre-adaptive behavior kept for the ablation.
@@ -116,7 +111,6 @@ impl Default for TcConfig {
             doubly_sparse: true,
             direct_hash: true,
             reverse_early_break: true,
-            overlap_shifts: true,
             kernel: KernelStrategy::Auto,
         }
     }
@@ -136,7 +130,6 @@ impl TcConfig {
             doubly_sparse: false,
             direct_hash: false,
             reverse_early_break: false,
-            overlap_shifts: false,
             kernel: KernelStrategy::Hash,
         }
     }
@@ -162,12 +155,6 @@ impl TcConfig {
     /// Builder-style toggle.
     pub fn with_reverse_early_break(mut self, on: bool) -> Self {
         self.reverse_early_break = on;
-        self
-    }
-
-    /// Builder-style toggle.
-    pub fn with_overlap_shifts(mut self, on: bool) -> Self {
-        self.overlap_shifts = on;
         self
     }
 
@@ -202,13 +189,6 @@ mod tests {
     fn unoptimized_disables_all() {
         let c = TcConfig::unoptimized();
         assert!(!c.doubly_sparse && !c.direct_hash && !c.reverse_early_break);
-        assert!(!c.overlap_shifts);
-    }
-
-    #[test]
-    fn overlap_toggle() {
-        assert!(TcConfig::default().overlap_shifts);
-        assert!(!TcConfig::default().with_overlap_shifts(false).overlap_shifts);
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! mismatches) as [`tc_mps::MpsError`], a `*_observed` variant that
 //! additionally binds rank threads to trace and/or metrics sessions
 //! (see [`tc_mps::Observe`]), and a panicking wrapper with the
-//! historical name. The older `*_traced` entry points remain and
-//! forward to `*_observed` with metrics off. Nothing can hang: the
-//! substrate guarantees every rank is woken and joined on failure.
+//! historical name. A trace-only run passes
+//! [`tc_mps::Observe::trace`]. Nothing can hang: the substrate
+//! guarantees every rank is woken and joined on failure.
 
 use tc_graph::{Csr, EdgeList};
 use tc_mps::{Comm, MpsResult, Observe, SocketConfig, Universe};
-use tc_trace::{names, TraceHandle};
+use tc_trace::names;
 
 use crate::config::TcConfig;
 use crate::metrics::{CommPhase, RankMetrics, TcResult};
@@ -141,18 +141,6 @@ pub fn try_count_triangles(el: &EdgeList, p: usize, cfg: &TcConfig) -> MpsResult
     try_count_triangles_observed(el, p, cfg, Observe::none())
 }
 
-/// [`try_count_triangles`] with an optional trace session: when a
-/// handle is supplied, every rank records phase, shift, and
-/// communication spans into it.
-pub fn try_count_triangles_traced(
-    el: &EdgeList,
-    p: usize,
-    cfg: &TcConfig,
-    trace: Option<&TraceHandle>,
-) -> MpsResult<TcResult> {
-    try_count_triangles_observed(el, p, cfg, Observe::trace(trace))
-}
-
 /// [`try_count_triangles`] with optional trace and metrics sessions.
 pub fn try_count_triangles_observed(
     el: &EdgeList,
@@ -261,16 +249,6 @@ pub fn try_count_per_edge(
     try_count_per_edge_observed(el, p, cfg, Observe::none())
 }
 
-/// [`try_count_per_edge`] with an optional trace session.
-pub fn try_count_per_edge_traced(
-    el: &EdgeList,
-    p: usize,
-    cfg: &TcConfig,
-    trace: Option<&TraceHandle>,
-) -> MpsResult<(TcResult, Vec<EdgeSupport>)> {
-    try_count_per_edge_observed(el, p, cfg, Observe::trace(trace))
-}
-
 /// [`try_count_per_edge`] with optional trace and metrics sessions.
 pub fn try_count_per_edge_observed(
     el: &EdgeList,
@@ -322,16 +300,6 @@ pub fn try_count_triangles_from_root(
     cfg: &TcConfig,
 ) -> MpsResult<TcResult> {
     try_count_triangles_from_root_observed(el, p, cfg, Observe::none())
-}
-
-/// [`try_count_triangles_from_root`] with an optional trace session.
-pub fn try_count_triangles_from_root_traced(
-    el: &EdgeList,
-    p: usize,
-    cfg: &TcConfig,
-    trace: Option<&TraceHandle>,
-) -> MpsResult<TcResult> {
-    try_count_triangles_from_root_observed(el, p, cfg, Observe::trace(trace))
 }
 
 /// [`try_count_triangles_from_root`] with optional trace and metrics

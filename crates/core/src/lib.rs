@@ -42,16 +42,14 @@ pub use config::{Enumeration, KernelStrategy, TcConfig};
 pub use driver::{
     count_per_edge, count_rank_from, count_triangles, count_triangles_default,
     count_triangles_from_root, try_count_per_edge, try_count_per_edge_observed,
-    try_count_per_edge_socket, try_count_per_edge_traced, try_count_triangles,
-    try_count_triangles_from_root, try_count_triangles_from_root_observed,
-    try_count_triangles_from_root_traced, try_count_triangles_observed, try_count_triangles_socket,
-    try_count_triangles_traced, EdgeSupport,
+    try_count_per_edge_socket, try_count_triangles, try_count_triangles_from_root,
+    try_count_triangles_from_root_observed, try_count_triangles_observed,
+    try_count_triangles_socket, EdgeSupport,
 };
 pub use intersect::{KernelState, KernelStats};
 pub use metrics::{CommPhase, PhaseSample, RankMetrics, TcResult};
 pub use preprocess::BlockInput;
 pub use summa::{
     count_triangles_summa, summa_rank_from, try_count_triangles_summa,
-    try_count_triangles_summa_observed, try_count_triangles_summa_socket,
-    try_count_triangles_summa_traced, SummaGrid,
+    try_count_triangles_summa_observed, try_count_triangles_summa_socket, SummaGrid,
 };

@@ -94,28 +94,6 @@ impl SummaGrid {
 /// Reserved user-tag base for SUMMA broadcasts.
 const SUMMA_TAG: u64 = (1 << 46) + 0x51;
 
-/// Broadcasts `mine` (present on the root) within an explicit rank
-/// group; linear fan-out is fine at grid-row/column sizes.
-fn group_bcast(
-    comm: &Comm,
-    root: usize,
-    members: &[usize],
-    tag: u64,
-    mine: Option<Bytes>,
-) -> MpsResult<Bytes> {
-    if comm.rank() == root {
-        let data = mine.expect("root must hold the panel");
-        for &m in members {
-            if m != root {
-                comm.send_bytes(m, tag, data.clone());
-            }
-        }
-        Ok(data)
-    } else {
-        comm.recv_bytes(root, tag)
-    }
-}
-
 /// A panel broadcast in flight: the root already holds the serialized
 /// panel, every other group member holds its posted receive.
 enum PendingPanel<'c> {
@@ -132,10 +110,11 @@ impl PendingPanel<'_> {
     }
 }
 
-/// Nonblocking [`group_bcast`]: the root serializes the panel and
+/// Nonblocking broadcast within an explicit rank group (linear fan-out
+/// is fine at grid-row/column sizes): the root serializes the panel and
 /// eagerly sends it to the group, receivers post the matching irecv;
 /// either side completes in [`PendingPanel::finish`].
-fn group_bcast_start<'c>(
+fn panel_bcast_start<'c>(
     comm: &'c Comm,
     root: usize,
     members: &[usize],
@@ -173,8 +152,8 @@ fn start_panel_step<'c>(
     let u_root = grid.rank_of(x, w % grid.pc);
     let l_root = grid.rank_of(w % grid.pr, y);
     let tag = SUMMA_TAG + (w as u64) * 4;
-    let pu = group_bcast_start(comm, u_root, row_members, tag, u_mine.as_ref());
-    let pl = group_bcast_start(comm, l_root, col_members, tag + 1, l_mine.as_ref());
+    let pu = panel_bcast_start(comm, u_root, row_members, tag, u_mine.as_ref());
+    let pl = panel_bcast_start(comm, l_root, col_members, tag + 1, l_mine.as_ref());
     (pu, pl)
 }
 
@@ -197,24 +176,13 @@ pub fn try_count_triangles_summa(
     grid: SummaGrid,
     cfg: &TcConfig,
 ) -> MpsResult<TcResult> {
-    try_count_triangles_summa_traced(el, grid, cfg, None)
-}
-
-/// [`try_count_triangles_summa`] with an optional trace session. Panel
-/// steps record the same `shift_compute` spans as Cannon shifts (the
-/// `z` argument is the panel index), so the trace analyzer treats both
-/// paths uniformly.
-pub fn try_count_triangles_summa_traced(
-    el: &EdgeList,
-    grid: SummaGrid,
-    cfg: &TcConfig,
-    trace: Option<&tc_trace::TraceHandle>,
-) -> MpsResult<TcResult> {
-    try_count_triangles_summa_observed(el, grid, cfg, Observe::trace(trace))
+    try_count_triangles_summa_observed(el, grid, cfg, Observe::none())
 }
 
 /// [`try_count_triangles_summa`] with optional trace and metrics
-/// sessions.
+/// sessions. Panel steps record the same `shift_compute` spans as
+/// Cannon shifts (the `z` argument is the panel index), so the trace
+/// analyzer treats both paths uniformly.
 pub fn try_count_triangles_summa_observed(
     el: &EdgeList,
     grid: SummaGrid,
@@ -377,127 +345,73 @@ pub fn summa_rank_from(
         let row_members: Vec<usize> = (0..grid.pc).map(|yy| grid.rank_of(x, yy)).collect();
         let col_members: Vec<usize> = (0..grid.pr).map(|xx| grid.rank_of(xx, y)).collect();
         let mut shift_compute = Vec::with_capacity(grid.panels);
-        if cfg.overlap_shifts {
-            // Zero-copy pipeline: each panel is serialized once (at
-            // its root) and broadcast as a refcounted buffer; the
-            // next step's broadcasts are posted before computing the
-            // current step against borrowed views of the wire bytes.
-            let mut cur = {
-                let _xchg_span =
-                    tc_trace::span(tc_trace::names::SHIFT_XCHG, tc_trace::Category::Shift)
-                        .arg("z", 0u64);
-                let (pu, pl) = start_panel_step(
+        // Zero-copy pipeline: each panel is serialized once (at
+        // its root) and broadcast as a refcounted buffer; the
+        // next step's broadcasts are posted before computing the
+        // current step against borrowed views of the wire bytes.
+        let mut cur = {
+            let _xchg_span = tc_trace::span(tc_trace::names::SHIFT_XCHG, tc_trace::Category::Shift)
+                .arg("z", 0u64);
+            let (pu, pl) = start_panel_step(
+                comm,
+                grid,
+                x,
+                y,
+                &row_members,
+                &col_members,
+                0,
+                u_panels[0].take(),
+                l_panels[0].take(),
+            );
+            (pu.finish()?, pl.finish()?)
+        };
+        for w in 0..grid.panels {
+            let step0 = tc_mps::CpuTimer::start();
+            let next = (w + 1 < grid.panels).then(|| {
+                let step = start_panel_step(
                     comm,
                     grid,
                     x,
                     y,
                     &row_members,
                     &col_members,
-                    0,
-                    u_panels[0].take(),
-                    l_panels[0].take(),
+                    w + 1,
+                    u_panels[w + 1].take(),
+                    l_panels[w + 1].take(),
                 );
-                (pu.finish()?, pl.finish()?)
-            };
-            for w in 0..grid.panels {
-                let step0 = tc_mps::CpuTimer::start();
-                let next = (w + 1 < grid.panels).then(|| {
-                    let step = start_panel_step(
-                        comm,
-                        grid,
-                        x,
-                        y,
-                        &row_members,
-                        &col_members,
-                        w + 1,
-                        u_panels[w + 1].take(),
-                        l_panels[w + 1].take(),
-                    );
-                    (step, Instant::now())
-                });
-                let (u_blob, l_blob) = &cur;
-                tc_metrics::hist_record(mnames::SHIFT_BYTES, u_blob.len() as u64);
-                tc_metrics::hist_record(mnames::SHIFT_BYTES, l_blob.len() as u64);
-                let tasks_before = tasks;
-                let mut compute_span =
-                    tc_trace::span(tc_trace::names::SHIFT_COMPUTE, tc_trace::Category::Shift)
-                        .arg("z", w as u64);
-                let hash_block = SparseBlockRef::from_blob(u_blob);
-                let probe_block = SparseBlockRef::from_blob(l_blob);
-                local += crate::count::count_shift(
-                    &task,
-                    &hash_block,
-                    &probe_block,
-                    &mut ks,
-                    grid.pc,
-                    cfg,
-                    &mut tasks,
+                (step, Instant::now())
+            });
+            let (u_blob, l_blob) = &cur;
+            tc_metrics::hist_record(mnames::SHIFT_BYTES, u_blob.len() as u64);
+            tc_metrics::hist_record(mnames::SHIFT_BYTES, l_blob.len() as u64);
+            let tasks_before = tasks;
+            let mut compute_span =
+                tc_trace::span(tc_trace::names::SHIFT_COMPUTE, tc_trace::Category::Shift)
+                    .arg("z", w as u64);
+            let hash_block = SparseBlockRef::from_blob(u_blob);
+            let probe_block = SparseBlockRef::from_blob(l_blob);
+            local += crate::count::count_shift(
+                &task,
+                &hash_block,
+                &probe_block,
+                &mut ks,
+                grid.pc,
+                cfg,
+                &mut tasks,
+            );
+            compute_span.record_arg("tasks", tasks - tasks_before);
+            drop(compute_span);
+            if let Some(((pu, pl), posted)) = next {
+                tc_metrics::hist_record(
+                    mnames::SHIFT_OVERLAP_WINDOW_NS,
+                    posted.elapsed().as_nanos() as u64,
                 );
-                compute_span.record_arg("tasks", tasks - tasks_before);
-                drop(compute_span);
-                if let Some(((pu, pl), posted)) = next {
-                    tc_metrics::hist_record(
-                        mnames::SHIFT_OVERLAP_WINDOW_NS,
-                        posted.elapsed().as_nanos() as u64,
-                    );
-                    let _xchg_span =
-                        tc_trace::span(tc_trace::names::SHIFT_XCHG, tc_trace::Category::Shift)
-                            .arg("z", (w + 1) as u64);
-                    cur = (pu.finish()?, pl.finish()?);
-                }
-                shift_compute.push(step0.elapsed());
-            }
-        } else {
-            // Synchronous ablation schedule: blocking broadcasts and
-            // owned deserialized operands, one panel at a time.
-            for w in 0..grid.panels {
-                let step0 = tc_mps::CpuTimer::start();
-                let u_root = grid.rank_of(x, w % grid.pc);
-                let serialize = |b: SparseBlock| {
-                    let blob = b.to_blob();
-                    tc_metrics::counter_add(mnames::SHIFT_BYTES_SERIALIZED, blob.len() as u64);
-                    blob
-                };
-                let xchg_span =
+                let _xchg_span =
                     tc_trace::span(tc_trace::names::SHIFT_XCHG, tc_trace::Category::Shift)
-                        .arg("z", w as u64);
-                let u_blob = group_bcast(
-                    comm,
-                    u_root,
-                    &row_members,
-                    SUMMA_TAG + (w as u64) * 4,
-                    u_panels[w].take().map(serialize),
-                )?;
-                let l_root = grid.rank_of(w % grid.pr, y);
-                let l_blob = group_bcast(
-                    comm,
-                    l_root,
-                    &col_members,
-                    SUMMA_TAG + (w as u64) * 4 + 1,
-                    l_panels[w].take().map(serialize),
-                )?;
-                drop(xchg_span);
-                tc_metrics::hist_record(mnames::SHIFT_BYTES, u_blob.len() as u64);
-                tc_metrics::hist_record(mnames::SHIFT_BYTES, l_blob.len() as u64);
-                let tasks_before = tasks;
-                let mut compute_span =
-                    tc_trace::span(tc_trace::names::SHIFT_COMPUTE, tc_trace::Category::Shift)
-                        .arg("z", w as u64);
-                let hash_block = SparseBlock::from_blob(u_blob);
-                let probe_block = SparseBlock::from_blob(l_blob);
-                local += crate::count::count_shift(
-                    &task,
-                    &hash_block,
-                    &probe_block,
-                    &mut ks,
-                    grid.pc,
-                    cfg,
-                    &mut tasks,
-                );
-                compute_span.record_arg("tasks", tasks - tasks_before);
-                drop(compute_span);
-                shift_compute.push(step0.elapsed());
+                        .arg("z", (w + 1) as u64);
+                cur = (pu.finish()?, pl.finish()?);
             }
+            shift_compute.push(step0.elapsed());
         }
         let triangles = comm.allreduce_sum_u64(local)?;
         drop(panel_mem);

@@ -1,22 +1,25 @@
-//! Overlapped vs synchronous operand pipeline equivalence.
+//! The overlapped operand pipeline against the serial oracles.
 //!
-//! The zero-copy overlapped schedule (`TcConfig::overlap_shifts`, the
-//! default) must be *observationally identical* to the synchronous
-//! ablation schedule in everything except communication behavior:
-//! triangle counts, task counts, probe/lookup statistics, and per-edge
-//! supports all agree exactly, while the deterministic
-//! `tct.shift_bytes_serialized` counter strictly drops (each operand is
-//! serialized once at the skew instead of once per shift).
+//! Cannon and SUMMA count with one schedule: post shift z+1, compute
+//! shift z against borrowed operands, forward the received blobs
+//! verbatim. Whatever the rank count or grid shape, that schedule must
+//! agree with the serial algorithms: the triangle count equals
+//! `tc_baselines::serial::count_default`, the per-rank local counts sum
+//! to it, and the per-edge supports equal `tc_graph::truss::edge_supports`
+//! edge for edge. Operands are serialized only at the skew, so a
+//! single-rank run serializes nothing.
 
 use std::sync::Mutex;
 
 use proptest::prelude::*;
+use tc_baselines::serial::count_default;
 use tc_core::{
     try_count_per_edge, try_count_triangles, try_count_triangles_observed,
     try_count_triangles_summa, SummaGrid, TcConfig,
 };
 use tc_gen::er::gnm;
 use tc_gen::{rmat, RmatParams};
+use tc_graph::truss::edge_supports;
 use tc_graph::EdgeList;
 use tc_mps::Observe;
 
@@ -28,38 +31,35 @@ fn mlock() -> std::sync::MutexGuard<'static, ()> {
     METRICS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn overlap_cfg() -> TcConfig {
-    TcConfig::paper().with_overlap_shifts(true)
+/// Runs Cannon on `el` at `p` ranks and asserts the total and the
+/// per-rank local counts match the serial count.
+fn assert_matches_serial(el: &EdgeList, p: usize) {
+    let expected = count_default(el);
+    let r = try_count_triangles(el, p, &TcConfig::paper()).expect("2d run");
+    assert_eq!(r.triangles, expected, "p={p}: triangles");
+    let local: u64 = r.ranks.iter().map(|rank| rank.local_triangles).sum();
+    assert_eq!(local, expected, "p={p}: per-rank local counts");
 }
 
-fn sync_cfg() -> TcConfig {
-    TcConfig::paper().with_overlap_shifts(false)
-}
-
-/// Runs both schedules on `el` at `p` ranks and asserts every
-/// deterministic output matches.
-fn assert_equivalent(el: &EdgeList, p: usize) {
-    let a = try_count_triangles(el, p, &overlap_cfg()).expect("overlap run");
-    let b = try_count_triangles(el, p, &sync_cfg()).expect("sync run");
-    assert_eq!(a.triangles, b.triangles, "p={p}: triangles");
-    assert_eq!(a.total_tasks(), b.total_tasks(), "p={p}: tasks");
-    assert_eq!(a.total_probes(), b.total_probes(), "p={p}: probes");
-    assert_eq!(a.total_lookups(), b.total_lookups(), "p={p}: lookups");
-    for (rank, (ra, rb)) in a.ranks.iter().zip(&b.ranks).enumerate() {
-        assert_eq!(ra.local_triangles, rb.local_triangles, "p={p} rank {rank}: local");
-        assert_eq!(ra.tasks, rb.tasks, "p={p} rank {rank}: tasks");
-        assert_eq!(ra.probes, rb.probes, "p={p} rank {rank}: probes");
-        assert_eq!(ra.lookups, rb.lookups, "p={p} rank {rank}: lookups");
-        assert_eq!(ra.direct_rows, rb.direct_rows, "p={p} rank {rank}: direct rows");
-        assert_eq!(ra.probed_rows, rb.probed_rows, "p={p} rank {rank}: probed rows");
+/// Runs the per-edge path on `el` at `p` ranks and asserts its supports
+/// equal the serial supports, edge for edge and in edge-list order.
+fn assert_supports_match_serial(el: &EdgeList, p: usize) -> Result<(), TestCaseError> {
+    let (r, sup) = try_count_per_edge(el, p, &TcConfig::paper()).expect("per-edge run");
+    prop_assert_eq!(r.triangles, count_default(el), "p={}: triangles", p);
+    let serial = edge_supports(el);
+    prop_assert_eq!(sup.len(), el.num_edges(), "p={}: support count", p);
+    for (e, (&(u, v), &s)) in sup.iter().zip(el.edges.iter().zip(&serial)) {
+        prop_assert_eq!((e.u, e.v), (u, v), "p={}: edge order", p);
+        prop_assert_eq!(e.support, s, "p={}: support of ({}, {})", p, u, v);
     }
+    Ok(())
 }
 
 #[test]
 fn schedules_agree_on_rmat() {
     let el = rmat(8, 6, RmatParams::GRAPH500, 7).simplify();
     for p in [1usize, 4, 9, 16] {
-        assert_equivalent(&el, p);
+        assert_matches_serial(&el, p);
     }
 }
 
@@ -67,93 +67,66 @@ fn schedules_agree_on_rmat() {
 fn schedules_agree_on_erdos_renyi() {
     let el = gnm(300, 1800, 21).simplify();
     for p in [1usize, 4, 9, 16] {
-        assert_equivalent(&el, p);
+        assert_matches_serial(&el, p);
     }
 }
 
 #[test]
 fn schedules_agree_per_edge() {
     // The per-edge path exercises count_shift_recording plus the
-    // credit exchange on top of the pipeline; supports must match
-    // vector for vector.
+    // credit exchange on top of the pipeline.
     let el = rmat(8, 5, RmatParams::GRAPH500, 33).simplify();
     for p in [1usize, 4, 9, 16] {
-        let (ra, sa) = try_count_per_edge(&el, p, &overlap_cfg()).expect("overlap");
-        let (rb, sb) = try_count_per_edge(&el, p, &sync_cfg()).expect("sync");
-        assert_eq!(ra.triangles, rb.triangles, "p={p}");
-        assert_eq!(sa, sb, "p={p}: per-edge supports diverged");
+        assert_supports_match_serial(&el, p).unwrap();
     }
 }
 
 #[test]
 fn schedules_agree_on_summa() {
     let el = rmat(8, 6, RmatParams::GRAPH500, 11).simplify();
+    let expected = count_default(&el);
     for (pr, pc) in [(1, 1), (2, 2), (2, 3), (3, 3), (4, 2)] {
         let grid = SummaGrid::new(pr, pc);
-        let a = try_count_triangles_summa(&el, grid, &overlap_cfg()).expect("overlap");
-        let b = try_count_triangles_summa(&el, grid, &sync_cfg()).expect("sync");
-        assert_eq!(a.triangles, b.triangles, "{pr}x{pc}: triangles");
-        assert_eq!(a.total_tasks(), b.total_tasks(), "{pr}x{pc}: tasks");
-        assert_eq!(a.total_probes(), b.total_probes(), "{pr}x{pc}: probes");
+        let r = try_count_triangles_summa(&el, grid, &TcConfig::paper()).expect("summa run");
+        assert_eq!(r.triangles, expected, "{pr}x{pc}: triangles");
     }
 }
 
-/// Runs one configuration under a metrics session and returns
-/// (triangles, tasks, serialized bytes).
-fn measured_run(el: &EdgeList, p: usize, cfg: &TcConfig) -> (u64, u64, u64) {
+/// Serialized operand bytes of one metered 2D run, summed over ranks.
+fn serialized_bytes(el: &EdgeList, p: usize) -> u64 {
     let session = tc_metrics::MetricsSession::begin();
     let handle = session.handle();
     let obs = Observe { metrics: Some(&handle), ..Observe::none() };
-    let r = try_count_triangles_observed(el, p, cfg, obs).expect("run");
+    try_count_triangles_observed(el, p, &TcConfig::paper(), obs).expect("run");
     let snap = session.finish();
-    let serialized: u64 = (0..p)
+    (0..p)
         .map(|rank| snap.counter(rank, tc_metrics::names::SHIFT_BYTES_SERIALIZED).unwrap_or(0))
-        .sum();
-    (r.triangles, r.total_tasks(), serialized)
-}
-
-#[test]
-fn overlap_strictly_reduces_serialized_bytes() {
-    let _g = mlock();
-    let el = rmat(8, 6, RmatParams::GRAPH500, 5).simplify();
-    for p in [4usize, 9, 16] {
-        let (tri_a, tasks_a, ser_a) = measured_run(&el, p, &overlap_cfg());
-        let (tri_b, tasks_b, ser_b) = measured_run(&el, p, &sync_cfg());
-        assert_eq!(tri_a, tri_b, "p={p}: schedules disagree on triangles");
-        assert_eq!(tasks_a, tasks_b, "p={p}: schedules disagree on tasks");
-        // q > 1: the sync path re-serializes at every one of the q−1
-        // extra shift steps; the overlapped path serializes at the
-        // skew only.
-        assert!(
-            ser_a < ser_b,
-            "p={p}: expected a strict serialized-bytes drop, got {ser_a} vs {ser_b}"
-        );
-        assert!(ser_a > 0, "p={p}: the skew still serializes");
-    }
+        .sum()
 }
 
 #[test]
 fn single_rank_serializes_nothing() {
     let _g = mlock();
     let el = rmat(7, 4, RmatParams::GRAPH500, 3).simplify();
-    for cfg in [overlap_cfg(), sync_cfg()] {
-        let (_, _, ser) = measured_run(&el, 1, &cfg);
-        assert_eq!(ser, 0, "q=1 moves no operands and must serialize none");
-    }
+    assert_eq!(serialized_bytes(&el, 1), 0, "q=1 moves no operands and must serialize none");
+    // With q > 1 the skew serializes each operand once; the shifts
+    // forward those buffers without serializing again.
+    assert!(serialized_bytes(&el, 4) > 0, "p=4: the skew serializes");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random small graphs, both generators' shapes, every square rank
-    /// count: the two schedules must agree on the full deterministic
-    /// output (counts, tasks, per-edge supports).
+    /// Random small RMAT and Erdős–Rényi graphs at every square rank
+    /// count up to 16, plus a SUMMA grid: the Cannon count, the SUMMA
+    /// count and the per-edge supports all equal the serial oracles.
     #[test]
     fn schedules_agree_on_random_graphs(
         scale in 5u32..8,
         factor in 2usize..6,
         seed in 0u64..1_000,
         p_idx in 0usize..4,
+        grid_idx in 0usize..5,
         use_er in any::<bool>(),
     ) {
         let p = [1usize, 4, 9, 16][p_idx];
@@ -163,17 +136,15 @@ proptest! {
         } else {
             rmat(scale, factor, RmatParams::GRAPH500, seed).simplify()
         };
-        let a = try_count_triangles(&el, p, &overlap_cfg()).expect("overlap run");
-        let b = try_count_triangles(&el, p, &sync_cfg()).expect("sync run");
-        prop_assert_eq!(a.triangles, b.triangles);
-        prop_assert_eq!(a.total_tasks(), b.total_tasks());
-        prop_assert_eq!(a.total_probes(), b.total_probes());
-        prop_assert_eq!(a.total_lookups(), b.total_lookups());
+        let cfg = TcConfig::paper();
+        let triangles = count_default(&el);
+        let r = try_count_triangles(&el, p, &cfg).expect("2d run");
+        prop_assert_eq!(r.triangles, triangles);
 
-        let (ra, sa) = try_count_per_edge(&el, p, &overlap_cfg()).expect("overlap per-edge");
-        let (rb, sb) = try_count_per_edge(&el, p, &sync_cfg()).expect("sync per-edge");
-        prop_assert_eq!(ra.triangles, a.triangles);
-        prop_assert_eq!(rb.triangles, b.triangles);
-        prop_assert_eq!(sa, sb);
+        let (pr, pc) = [(1, 1), (2, 2), (2, 3), (3, 3), (4, 2)][grid_idx];
+        let s = try_count_triangles_summa(&el, SummaGrid::new(pr, pc), &cfg).expect("summa run");
+        prop_assert_eq!(s.triangles, triangles);
+
+        assert_supports_match_serial(&el, p)?;
     }
 }

@@ -6,8 +6,9 @@
 
 use std::sync::Mutex;
 
-use tc_core::{try_count_triangles_traced, TcConfig};
+use tc_core::{try_count_triangles_observed, TcConfig};
 use tc_gen::{rmat, RmatParams};
+use tc_mps::Observe;
 use tc_trace::{analysis, chrome, names, TraceSession};
 
 /// The recorder gate is process-global, so tests that enable or probe
@@ -30,7 +31,8 @@ fn traced_16_rank_run_exports_valid_chrome_trace() {
     let session = TraceSession::begin();
     let handle = session.handle();
     let result =
-        try_count_triangles_traced(&el, p, &TcConfig::default(), Some(&handle)).expect("run");
+        try_count_triangles_observed(&el, p, &TcConfig::default(), Observe::trace(Some(&handle)))
+            .expect("run");
     let trace = session.finish();
     assert!(result.triangles > 0, "RMAT scale-9 graph should contain triangles");
 
@@ -71,7 +73,8 @@ fn analyzer_critical_path_agrees_with_metrics_model() {
     let session = TraceSession::begin();
     let handle = session.handle();
     let result =
-        try_count_triangles_traced(&el, 16, &TcConfig::default(), Some(&handle)).expect("run");
+        try_count_triangles_observed(&el, 16, &TcConfig::default(), Observe::trace(Some(&handle)))
+            .expect("run");
     let trace = session.finish();
     let a = analysis::analyze(&trace).expect("non-empty trace analyzes");
 
@@ -113,8 +116,8 @@ fn untraced_run_records_no_events() {
     let _g = lock();
     let el = test_graph();
     let before = tc_trace::events_recorded_total();
-    let result =
-        try_count_triangles_traced(&el, 4, &TcConfig::default(), None).expect("untraced run");
+    let result = try_count_triangles_observed(&el, 4, &TcConfig::default(), Observe::none())
+        .expect("untraced run");
     assert!(result.triangles > 0);
     assert_eq!(
         tc_trace::events_recorded_total(),

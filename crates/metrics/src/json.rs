@@ -1,10 +1,10 @@
 //! Minimal hand-rolled JSON reader/writer.
 //!
-//! `tc-metrics` is a zero-dependency crate (same discipline as
-//! `tc-trace`), so it carries its own tiny JSON layer rather than
-//! reusing `tc_trace::json`. Integers are kept exact as `u64` —
-//! counters and histogram bounds must survive a round trip without
-//! the 2⁵³ precision cliff of `f64`.
+//! `tc-metrics` is a zero-dependency crate, so it carries its own tiny
+//! JSON layer instead of `serde`; it is the workspace's one JSON codec
+//! (`tc-trace` writes and validates Chrome traces with it too).
+//! Integers are kept exact as `u64` — counters and histogram bounds
+//! must survive a round trip without the 2⁵³ precision cliff of `f64`.
 
 /// A parsed JSON value. Object member order is preserved.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,51 +191,58 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed for our own
-                            // output; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+            // Copy the run up to the next quote or backslash in one
+            // piece: both delimiters are ASCII and the input is a
+            // `&str`, so the run is itself valid UTF-8.
+            let rest = &self.bytes[self.pos..];
+            let run =
+                rest.iter().position(|&b| b == b'"' || b == b'\\').ok_or("unterminated string")?;
+            out.push_str(std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?);
+            self.pos += run + 1;
+            if rest[run] == b'"' {
+                return Ok(out);
+            }
+            let esc = self.peek().ok_or("unterminated escape")?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let mut code = self.hex4()?;
+                    // A high surrogate must be followed by an escaped
+                    // low surrogate; together they name one scalar.
+                    if (0xD800..0xDC00).contains(&code) {
+                        if !self.bytes[self.pos..].starts_with(b"\\u") {
+                            return Err(format!("lone high surrogate at byte {}", self.pos));
                         }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
+                        self.pos += 2;
+                        let lo = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return Err(format!("invalid low surrogate at byte {}", self.pos));
+                        }
+                        code = 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
                     }
+                    let c = char::from_u32(code)
+                        .ok_or_else(|| format!("invalid code point at byte {}", self.pos))?;
+                    out.push(c);
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let start = self.pos;
-                    let rest = &self.bytes[start..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                _ => return Err(format!("bad escape at byte {}", self.pos)),
             }
         }
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let hex = self.bytes.get(self.pos..self.pos + 4).ok_or("truncated \\u escape")?;
+        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Value, String> {
@@ -281,6 +288,15 @@ pub fn escape_into(out: &mut String, s: &str) {
     }
 }
 
+/// `s` as a quoted JSON string literal.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    escape_into(&mut out, s);
+    out.push('"');
+    out
+}
+
 /// Renders an `f64` as a JSON number token (finite values only;
 /// non-finite values render as `0`).
 pub fn fmt_f64(v: f64) -> String {
@@ -305,6 +321,7 @@ mod tests {
         assert_eq!(v.get("b").unwrap().get("c"), Some(&Value::Bool(true)));
         assert_eq!(v.get("b").unwrap().get("d"), Some(&Value::Null));
         assert_eq!(v.get("n").unwrap().as_f64(), Some(-3.0));
+        assert_eq!(parse("-3e2").unwrap().as_f64(), Some(-300.0));
     }
 
     #[test]
@@ -330,5 +347,35 @@ mod tests {
         out.push('"');
         let v = parse(&out).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\nd\u{1}"));
+    }
+
+    #[test]
+    fn escape_round_trips_through_parse() {
+        let s = "a\"b\\c\nd\te\u{1}f héllo 😀";
+        assert_eq!(parse(&quote(s)).unwrap().as_str(), Some(s));
+    }
+
+    #[test]
+    fn parses_surrogate_pair() {
+        assert_eq!(parse(r#""😀""#).unwrap().as_str(), Some("😀"));
+        assert_eq!(parse(r#""\uD83D\uDE00""#).unwrap().as_str(), Some("😀"));
+    }
+
+    #[test]
+    fn rejects_garbage() {
+        assert!(parse("").is_err());
+        assert!(parse(r#"{"a":1} x"#).is_err());
+        assert!(parse(r#""\uD800""#).is_err(), "lone high surrogate");
+        assert!(parse(r#""\uD800\u0041""#).is_err(), "high surrogate without a low one");
+        assert!(parse(r#""\uDC00""#).is_err(), "lone low surrogate");
+    }
+
+    #[test]
+    fn fmt_f64_is_parseable() {
+        for v in [0.0, 1.5, -2.0, 1e-9, 12345.0] {
+            let s = fmt_f64(v);
+            assert_eq!(parse(&s).unwrap().as_f64(), Some(v), "{s}");
+        }
+        assert_eq!(fmt_f64(f64::NAN), "0");
     }
 }

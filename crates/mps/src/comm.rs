@@ -27,7 +27,7 @@ use crate::error::{MpsError, MpsResult};
 use crate::fabric::{AwaitOutcome, BlockedOp, Fabric, Packet, Recovery};
 use crate::pod::{bytes_of, Pod, PodArray};
 use crate::reliable::{RxState, TRANSPORT_NOTHING_TAG, TRANSPORT_TAG};
-use crate::stats::{CommStats, ReliabilityStats, Timings};
+use crate::stats::{CommStats, ReliabilityStats};
 
 /// Highest bit reserved for internal (collective) traffic; user tags
 /// must stay below this.
@@ -87,8 +87,6 @@ pub struct Comm {
     /// rank executes collectives in the same order, so equal sequence
     /// numbers identify the same logical operation.
     pub(crate) coll_seq: std::cell::Cell<u64>,
-    /// Named phase timers for user code.
-    pub timings: Timings,
 }
 
 impl Comm {
@@ -96,15 +94,7 @@ impl Comm {
         debug_assert_eq!(size, fabric.size(), "communicator and fabric disagree on universe size");
         let pending = (0..size).map(|_| RefCell::new(VecDeque::new())).collect();
         let rx = fabric.transport().map(|_| RefCell::new(RxState::new(size)));
-        Self {
-            rank,
-            size,
-            fabric,
-            pending,
-            rx,
-            coll_seq: std::cell::Cell::new(0),
-            timings: Timings::new(),
-        }
+        Self { rank, size, fabric, pending, rx, coll_seq: std::cell::Cell::new(0) }
     }
 
     /// This rank's id in `0..size()`.

@@ -34,7 +34,7 @@
 //! - [`BlobBuilder`]/[`BlobReader`] — single-allocation serialization
 //!   of sparse blocks (paper §5.2 "reducing overheads associated with
 //!   communication").
-//! - [`CommStats`]/[`Timings`] — per-rank bytes/messages/blocked-time
+//! - [`CommStats`] — per-rank bytes/messages/blocked-time
 //!   instrumentation behind the paper's Figure 3 and §5.4 analysis.
 //! - [`FaultPlan`]/[`LinkFaults`] — deterministic chaos injection:
 //!   installing a plan (via [`UniverseConfig`]`::chaos`, [`Observe`],
@@ -87,7 +87,7 @@ pub use cputime::{thread_cpu_now, CpuTimer};
 pub use error::{MpsError, MpsResult};
 pub use grid::{perfect_square_side, Grid};
 pub use pod::{Pod, PodArray};
-pub use stats::{CommStats, PhaseGuard, ReliabilityStats, Timings};
+pub use stats::{CommStats, ReliabilityStats};
 pub use universe::{
     strict_env, Observe, SocketConfig, Universe, UniverseConfig, FABRIC_EPOCH_ENV,
     FABRIC_PEERS_ENV, FABRIC_RANK_ENV, HANDSHAKE_TIMEOUT_MS_ENV, RECV_TIMEOUT_ENV,

@@ -3,13 +3,11 @@
 //! Communication time, byte volume, and message counts are the raw
 //! material for the paper's Figure 3 (communication fraction) and the
 //! cost analysis of §5.4, so every send/recv on a [`crate::Comm`]
-//! feeds the counters here. User code can additionally record named
-//! phase timers (preprocessing, per-shift compute, …) through
-//! [`Timings`].
+//! feeds the counters here. Named phase timings live in the
+//! `tc_metrics` registry, fed by trace spans.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Communication counters for one rank.
 ///
@@ -174,61 +172,6 @@ impl SharedReliabilityStats {
     }
 }
 
-/// A stopwatch that adds its elapsed time to a named phase on drop.
-pub struct PhaseGuard<'a> {
-    timings: &'a Timings,
-    name: &'static str,
-    start: Instant,
-}
-
-impl Drop for PhaseGuard<'_> {
-    fn drop(&mut self) {
-        self.timings.add(self.name, self.start.elapsed());
-    }
-}
-
-/// Named wall-clock phase accumulators for one rank.
-///
-/// Single-threaded by construction (each rank owns its own), hence the
-/// plain `Cell`-free interior mutability via `RefCell`.
-#[derive(Debug, Default)]
-pub struct Timings {
-    phases: std::cell::RefCell<BTreeMap<&'static str, u64>>,
-}
-
-impl Timings {
-    /// Creates an empty set of accumulators.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `d` to phase `name`.
-    pub fn add(&self, name: &'static str, d: Duration) {
-        *self.phases.borrow_mut().entry(name).or_insert(0) += d.as_nanos() as u64;
-    }
-
-    /// Starts a guard that records into `name` when dropped.
-    pub fn phase(&self, name: &'static str) -> PhaseGuard<'_> {
-        PhaseGuard { timings: self, name, start: Instant::now() }
-    }
-
-    /// Times `f` and attributes the elapsed time to `name`.
-    pub fn time<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
-        let _g = self.phase(name);
-        f()
-    }
-
-    /// Accumulated time of one phase.
-    pub fn get(&self, name: &str) -> Duration {
-        Duration::from_nanos(self.phases.borrow().get(name).copied().unwrap_or(0))
-    }
-
-    /// Snapshot of all phases, in name order.
-    pub fn snapshot(&self) -> Vec<(&'static str, Duration)> {
-        self.phases.borrow().iter().map(|(k, v)| (*k, Duration::from_nanos(*v))).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,38 +185,6 @@ mod tests {
         assert_eq!(a.msgs_sent, 1);
         assert_eq!(a.msgs_recv, 2);
         assert_eq!(a.comm_time(), Duration::from_nanos(100));
-    }
-
-    #[test]
-    fn timings_accumulate() {
-        let t = Timings::new();
-        t.add("ppt", Duration::from_millis(2));
-        t.add("ppt", Duration::from_millis(3));
-        t.add("tct", Duration::from_millis(1));
-        assert_eq!(t.get("ppt"), Duration::from_millis(5));
-        assert_eq!(t.get("tct"), Duration::from_millis(1));
-        assert_eq!(t.get("missing"), Duration::ZERO);
-        let snap = t.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].0, "ppt");
-    }
-
-    #[test]
-    fn phase_guard_records_nonzero() {
-        let t = Timings::new();
-        {
-            let _g = t.phase("work");
-            std::hint::black_box((0..1000).sum::<u64>());
-        }
-        assert!(t.get("work") > Duration::ZERO);
-    }
-
-    #[test]
-    fn time_returns_value() {
-        let t = Timings::new();
-        let v = t.time("f", || 42);
-        assert_eq!(v, 42);
-        assert!(t.get("f") > Duration::ZERO);
     }
 
     #[test]
@@ -336,19 +247,5 @@ mod tests {
         assert_eq!(snap.bytes_sent, 33);
         assert_eq!(snap.recv_ns, 44);
         assert_eq!(snap.msgs_sent, 0);
-    }
-
-    #[test]
-    fn nested_phase_guards_attribute_to_both_phases() {
-        let t = Timings::new();
-        {
-            let _outer = t.phase("outer");
-            {
-                let _inner = t.phase("inner");
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-        assert!(t.get("inner") > Duration::ZERO);
-        assert!(t.get("outer") >= t.get("inner"), "outer encloses inner");
     }
 }

@@ -509,7 +509,7 @@ impl<'a> Observe<'a> {
         Self::default()
     }
 
-    /// Trace-only observation (the pre-metrics `*_traced` contract).
+    /// Trace-only observation: rank threads record spans, metrics off.
     pub fn trace(trace: Option<&'a tc_trace::TraceHandle>) -> Self {
         Self { trace, ..Self::default() }
     }

@@ -17,7 +17,8 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use crate::event::{ArgValue, EventKind};
-use crate::json::{self, escape_into, fmt_f64, Value};
+use tc_metrics::json::{self, fmt_f64, quote, Value};
+
 use crate::session::Trace;
 
 /// Renders a finished trace as a Chrome-trace-event JSON document.
@@ -74,8 +75,8 @@ pub fn to_chrome_json_with_metadata(trace: &Trace, metadata: &[(&str, &str)]) ->
                     out,
                     "{{\"ph\":\"X\",\"name\":{name},\"cat\":{cat},\"pid\":0,\
                      \"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\"args\":{{",
-                    name = json::escape(ev.name),
-                    cat = json::escape(ev.cat.as_str()),
+                    name = quote(ev.name),
+                    cat = quote(ev.cat.as_str()),
                     tid = ev.rank,
                     ts = fmt_f64(ts_us),
                     dur = fmt_f64(dur_us),
@@ -89,8 +90,8 @@ pub fn to_chrome_json_with_metadata(trace: &Trace, metadata: &[(&str, &str)]) ->
                     out,
                     "{{\"ph\":\"i\",\"s\":\"t\",\"name\":{name},\"cat\":{cat},\
                      \"pid\":0,\"tid\":{tid},\"ts\":{ts},\"args\":{{",
-                    name = json::escape(ev.name),
-                    cat = json::escape(ev.cat.as_str()),
+                    name = quote(ev.name),
+                    cat = quote(ev.cat.as_str()),
                     tid = ev.rank,
                     ts = fmt_f64(ts_us),
                 );
@@ -105,9 +106,7 @@ pub fn to_chrome_json_with_metadata(trace: &Trace, metadata: &[(&str, &str)]) ->
         trace.dropped
     );
     for (key, value) in metadata {
-        out.push(',');
-        escape_into(&mut out, key);
-        out.push(':');
+        let _ = write!(out, ",{}:", quote(key));
         out.push_str(value);
     }
     out.push('}');
@@ -120,14 +119,13 @@ fn write_args(out: &mut String, args: &[(&'static str, ArgValue)], mut first: bo
             out.push(',');
         }
         first = false;
-        escape_into(out, k);
-        out.push(':');
+        let _ = write!(out, "{}:", quote(k));
         match v {
             ArgValue::U64(n) => {
                 let _ = write!(out, "{n}");
             }
             ArgValue::F64(n) => out.push_str(&fmt_f64(*n)),
-            ArgValue::Str(s) => escape_into(out, s),
+            ArgValue::Str(s) => out.push_str(&quote(s)),
         }
     }
 }
@@ -179,8 +177,10 @@ pub fn validate(input: &str) -> Result<ChromeSummary, String> {
         .ok_or("\"traceEvents\" is not an array")?;
     let mut summary =
         ChromeSummary { ranks: Vec::new(), spans: 0, instants: 0, spans_by_name: BTreeMap::new() };
-    for (i, ev) in events.iter().enumerate() {
-        let obj = ev.as_obj().ok_or_else(|| format!("event {i} is not an object"))?;
+    for (i, obj) in events.iter().enumerate() {
+        if obj.as_obj().is_none() {
+            return Err(format!("event {i} is not an object"));
+        }
         let ph = obj
             .get("ph")
             .and_then(Value::as_str)
@@ -281,7 +281,7 @@ mod tests {
     #[test]
     fn export_is_well_formed_json_with_lane_metadata() {
         let json = to_chrome_json(&sample());
-        let doc = crate::json::parse(&json).unwrap();
+        let doc = json::parse(&json).unwrap();
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let names: Vec<&str> = events
             .iter()
@@ -307,7 +307,7 @@ mod tests {
     fn metadata_members_are_embedded_and_ignored_by_validate() {
         let snap = r#"{"schema":"tc-metrics-v1","ranks":[]}"#;
         let json = to_chrome_json_with_metadata(&sample(), &[("tcMetrics", snap)]);
-        let doc = crate::json::parse(&json).unwrap();
+        let doc = json::parse(&json).unwrap();
         assert_eq!(
             doc.get("tcMetrics").and_then(|m| m.get("schema")).and_then(Value::as_str),
             Some("tc-metrics-v1")

@@ -8,8 +8,9 @@
 //! or chrome://tracing — one lane per rank, with preprocessing
 //! phases, Cannon shifts, and collectives as nested spans.
 
-use tc_core::{try_count_triangles_traced, TcConfig};
+use tc_core::{try_count_triangles_observed, TcConfig};
 use tc_gen::{rmat, RmatParams};
+use tc_mps::Observe;
 use tc_trace::{analysis, chrome, TraceSession};
 
 fn main() {
@@ -26,8 +27,9 @@ fn main() {
     let session = TraceSession::begin();
     let handle = session.handle();
 
-    let result = try_count_triangles_traced(&graph, 16, &TcConfig::paper(), Some(&handle))
-        .expect("distributed run failed");
+    let result =
+        try_count_triangles_observed(&graph, 16, &TcConfig::paper(), Observe::trace(Some(&handle)))
+            .expect("distributed run failed");
     println!("triangles (2D, 16 ranks): {}", result.triangles);
 
     // Finish drains every rank's ring buffer into one time-sorted
